@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import beta as _beta
 
-from .classifier import BaseClassifier, BuiltinModel
+from .classifier import BaseClassifier, BuiltinModel, classify_texts
 from .edit_metrics import (
     ALL_OPS_SETS,
     FULL_OPS,
@@ -41,8 +41,6 @@ from .tokenization import Scheme, TokenSeq, detokenize, tokenize
 #: will ever enumerate, and only reachable from exact scores, never from
 #: Monte Carlo confidence bounds.
 UNBOUNDED_RADIUS = 10**6
-
-_CLASSIFY_CHUNK = 2048
 
 # sub-stream purposes: prediction and certification batches must be
 # independent for the confidence argument to hold
@@ -110,11 +108,27 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _classify_chunked(model: BaseClassifier, texts: Sequence[str]) -> list[int]:
-    labels: list[int] = []
-    for start in range(0, len(texts), _CLASSIFY_CHUNK):
-        labels.extend(model.classify_batch(texts[start : start + _CLASSIFY_CHUNK]))
-    return labels
+def _distinct_rows(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a boolean matrix and each row's index among them."""
+    if keep.shape[1] == 0:
+        return keep[:1], np.zeros(keep.shape[0], dtype=np.intp)
+    packed = np.packbits(keep, axis=1)
+    # one opaque bytes item per row: np.unique on it is several times
+    # faster than np.unique(axis=0)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return keep[first], inverse
+
+
+def _deletion_labels(model: BaseClassifier, x: TokenSeq, keep: np.ndarray) -> np.ndarray:
+    """The label of each draw, each distinct kept-token text classified once."""
+    distinct, inverse = _distinct_rows(keep)
+    # every row's kept tokens in one flat list, row after row
+    kept = np.array(x.tokens, dtype=object)[np.nonzero(distinct)[1]].tolist()
+    ends = np.cumsum(distinct.sum(axis=1)).tolist()
+    sep = x.scheme.separator
+    texts = [sep.join(kept[start:end]) for start, end in zip([0] + ends, ends)]
+    return classify_texts(model, texts)[inverse]
 
 
 def vote_counts(
@@ -128,7 +142,9 @@ def vote_counts(
 
     For the built-in model under deletion noise the votes are computed
     through one keep-matrix product instead of materializing texts; the
-    draws consumed from ``rng`` are identical either way.
+    draws consumed from ``rng`` are identical either way.  Any other
+    classifier sees each distinct text once per call (see
+    :func:`~delcert.classifier.classify_texts`).
     """
     num_classes = model.num_classes
     if mech.kind is MechanismKind.DELETION:
@@ -139,20 +155,14 @@ def vote_counts(
             scores = keep.astype(np.float64) @ contrib + model.log_prior
             labels = np.argmax(scores, axis=1)
             return np.bincount(labels, minlength=num_classes)
-        texts = [
-            detokenize(x.replace_tokens([t for t, k in zip(x.tokens, row) if k]))
-            for row in keep
-        ]
+        labels = _deletion_labels(model, x, keep)
     else:
         texts = [
             detokenize(sample_masking(x, mech.rate, mech.mask_token, rng))
             for _ in range(n_samples)
         ]
-    labels = _classify_chunked(model, texts)
-    arr = np.asarray(labels, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
-        raise ValueError("classifier returned an out-of-range label")
-    return np.bincount(arr, minlength=num_classes)
+        labels = classify_texts(model, texts)
+    return np.bincount(labels, minlength=num_classes)
 
 
 def smoothed_predict(

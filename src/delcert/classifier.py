@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -16,19 +17,56 @@ import numpy as np
 from .errors import DataFormatError
 from .mechanisms import MechanismParams, perturb
 from .rng import RandomStream
-from .tokenization import Scheme, tokenize
+from .tokenization import Scheme, split_tokens, tokenize
 
 MODEL_FORMAT_VERSION = 1
 _SMOOTHING = 1.0
+#: most texts sent to one ``classify_batch`` call by :func:`classify_texts`
+_CLASSIFY_CHUNK = 2048
 
 
 @runtime_checkable
 class BaseClassifier(Protocol):
-    """Anything that deterministically maps texts to class indices."""
+    """Anything that deterministically maps texts to class indices.
+
+    ``classify_batch`` must be a pure function of each text: a text's
+    label may depend neither on the other texts of the batch, nor on
+    their order, nor on earlier calls.  Callers rely on this to classify
+    each distinct text once and reuse its label for every copy.
+    """
 
     num_classes: int
 
     def classify_batch(self, texts: Sequence[str]) -> list[int]: ...
+
+
+def classify_texts(model: BaseClassifier, texts: Sequence[str]) -> np.ndarray:
+    """Labels of ``texts`` as an int64 array, each distinct text classified once.
+
+    Distinct texts go to ``model.classify_batch`` in first-occurrence
+    order, at most 2048 per call.  Raises ``ValueError`` unless the calls
+    return one integer label in ``[0, num_classes)`` per text.
+    """
+    index: dict[str, int] = {}
+    inverse = [index.setdefault(t, len(index)) for t in texts]
+    distinct = list(index)
+    labels: list = []
+    for start in range(0, len(distinct), _CLASSIFY_CHUNK):
+        chunk = distinct[start : start + _CLASSIFY_CHUNK]
+        got = model.classify_batch(chunk)
+        if len(got) != len(chunk):
+            raise ValueError(f"classifier returned {len(got)} labels for {len(chunk)} texts")
+        labels.extend(got)
+    if not labels:
+        return np.zeros(0, dtype=np.int64)
+    arr = np.asarray(labels)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"classifier returned labels of type {arr.dtype}, not integers")
+    arr = arr.astype(np.int64, copy=False)
+    # one reduction for both ends: negative labels wrap to huge unsigned values
+    if arr.view(np.uint64).max() >= model.num_classes:
+        raise ValueError("classifier returned an out-of-range label")
+    return arr[inverse]
 
 
 @dataclass(frozen=True)
@@ -104,22 +142,26 @@ class BuiltinModel:
     # -- scoring -----------------------------------------------------------
     def token_rows(self, tokens: Sequence[str]) -> np.ndarray:
         """Vocabulary row per token; OOV tokens map to the zero row."""
-        oov = len(self.tokens)
-        return np.fromiter(
-            (self._token_index.get(t, oov) for t in tokens), dtype=np.intp, count=len(tokens)
-        )
+        rows = map(self._token_index.get, tokens, repeat(len(self.tokens)))
+        return np.fromiter(rows, dtype=np.intp, count=len(tokens))
 
     def scores_for_tokens(self, tokens: Sequence[str]) -> np.ndarray:
         rows = self.token_rows(tokens)
         return self.log_prior + self.log_likelihood[rows].sum(axis=0)
 
     def classify_batch(self, texts: Sequence[str]) -> list[int]:
-        out = []
-        for text in texts:
-            seq = tokenize(text, self.scheme)
-            scores = self.scores_for_tokens(seq.tokens)
-            out.append(int(np.argmax(scores)))  # argmax breaks ties toward class 0
-        return out
+        """Scores every text of the batch with one lookup and one segmented sum."""
+        token_lists = [split_tokens(t, self.scheme) for t in texts]
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+        rows = self.token_rows(list(chain.from_iterable(token_lists)))
+        scores = np.tile(self.log_prior, (len(texts), 1))
+        if rows.size:
+            # np.add.reduceat cannot sum an empty segment, so empty texts
+            # keep the bare prior and only the others get a segment
+            nonempty = lengths > 0
+            starts = np.cumsum(lengths)[nonempty] - lengths[nonempty]
+            scores[nonempty] += np.add.reduceat(self.log_likelihood[rows], starts, axis=0)
+        return np.argmax(scores, axis=1).tolist()  # argmax breaks ties toward class 0
 
     def most_common_tokens(self, k: int) -> list[str]:
         """Top-k training tokens by total count (ties by token string)."""

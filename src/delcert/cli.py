@@ -12,6 +12,7 @@ override defaults.  Exit codes: 0 success, 2 usage, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -31,7 +32,7 @@ from .edit_metrics import (
     lev_ball_cardinality_exact,
     lev_ball_cardinality_lower_bound,
 )
-from .errors import DataFormatError, DelcertError, GuardError
+from .errors import DataFormatError, DelcertError, GuardError, UsageError
 from .external import ExternalClassifier
 from .mechanisms import MechanismKind, MechanismParams
 from .rng import RandomStream
@@ -136,18 +137,36 @@ def _mechanism(opts: _Opts) -> MechanismParams:
     return MechanismParams(MechanismKind(opts.get("mechanism")), opts.get("rate", float))
 
 
-def _make_target(opts: _Opts):
-    """Build the attacked predictor and (when builtin) the model behind it."""
+@contextlib.contextmanager
+def _classifier(opts: _Opts):
+    """The base classifier: a child started from ``--external-cmd``, closed
+    on exit, or else the built-in model in ``--model``."""
     external_cmd = opts.get("external_cmd")
-    if external_cmd:
-        model = ExternalClassifier(external_cmd, num_classes=opts.get("num_classes", int))
-    else:
+    if not external_cmd:
         model_path = opts.get("model")
         if not model_path:
-            raise DataFormatError("either --model or --external-cmd is required")
-        model = BuiltinModel.load(model_path)
+            raise UsageError("either --model or --external-cmd is required")
+        yield BuiltinModel.load(model_path)
+        return
+    try:
+        model = ExternalClassifier(external_cmd, num_classes=opts.get("num_classes", int))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot start --external-cmd {external_cmd!r}: {exc}") from exc
+    try:
+        yield model
+    finally:
+        model.close()
+
+
+def _input_scheme(model, opts: _Opts) -> Scheme:
+    """The built-in model's own scheme, else ``--scheme``."""
+    return model.scheme if isinstance(model, BuiltinModel) else Scheme(opts.get("scheme"))
+
+
+def _make_target(opts: _Opts, model):
+    """The attacked predictor around ``model``."""
     if opts.get("target") == "base":
-        return BasePredictor(model), model
+        return BasePredictor(model)
     predictor = SmoothedPredictor(
         model,
         _mechanism(opts),
@@ -155,7 +174,7 @@ def _make_target(opts: _Opts):
         stream=RandomStream(opts.get("seed", int)),
         scheme=Scheme(opts.get("scheme")),
     )
-    return predictor, model
+    return predictor
 
 
 def _write_text(path: str | None, content: str) -> None:
@@ -188,7 +207,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     opts = _Opts(args)
-    model = BuiltinModel.load(args.model)
     data = load_dataset(args.data)
     mech = _mechanism(opts)
     n_pred = opts.get("n_pred", int)
@@ -199,18 +217,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
     correct = 0
     from .certify import smoothed_predict
 
-    for idx, (text, label) in enumerate(data.items):
-        x = tokenize(text, model.scheme)
-        pred, _ = smoothed_predict(model, x, mech, n_pred, stream.child(idx, 0).generator())
-        correct += int(pred == label)
-        writer.writerow([idx, label, pred])
+    with _classifier(opts) as model:
+        scheme = _input_scheme(model, opts)
+        for idx, (text, label) in enumerate(data.items):
+            x = tokenize(text, scheme)
+            pred, _ = smoothed_predict(model, x, mech, n_pred, stream.child(idx, 0).generator())
+            correct += int(pred == label)
+            writer.writerow([idx, label, pred])
     _write_text(args.out, buf.getvalue())
     print(f"accuracy={correct / len(data)!r}")
     return 0
 
 
 def _certify_one(model, mech, opts, idx: int, text: str, label: int, stream: RandomStream):
-    x = tokenize(text, model.scheme)
+    x = tokenize(text, _input_scheme(model, opts))
     cert = certify(
         model,
         x,
@@ -236,23 +256,24 @@ def _certify_one(model, mech, opts, idx: int, text: str, label: int, stream: Ran
 
 def cmd_certify(args: argparse.Namespace) -> int:
     opts = _Opts(args)
-    model = BuiltinModel.load(args.model)
     data = load_dataset(args.data)
     mech = _mechanism(opts)
     stream = RandomStream(opts.get("seed", int))
     jobs = opts.get("jobs", int)
     ops_sel = EditOpsSet.from_letters(opts.get("ops"))
 
-    def one(item):
-        idx, (text, label) = item
-        return _certify_one(model, mech, opts, idx, text, label, stream)
+    with _classifier(opts) as model:
 
-    work = list(enumerate(data.items))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, work))
-    else:
-        results = [one(w) for w in work]
+        def one(item):
+            idx, (text, label) = item
+            return _certify_one(model, mech, opts, idx, text, label, stream)
+
+        work = list(enumerate(data.items))
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(one, work))
+        else:
+            results = [one(w) for w in work]
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -282,7 +303,11 @@ def cmd_curve(args: argparse.Namespace) -> int:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise DataFormatError(f"{args.records}: no records")
-    correct = [r["predicted"] == r["true_label"] for r in rows]
+    missing = {"true_label", "predicted", "abstained", "log10_cc_lb"} - set(rows[0])
+    if missing:
+        raise DataFormatError(f"{args.records}: records lack columns {sorted(missing)}")
+    # an abstention certifies nothing, so it counts as wrong (Cohen et al. 2019)
+    correct = [r["predicted"] == r["true_label"] and r["abstained"] == "0" for r in rows]
     log_cc = [float(r["log10_cc_lb"]) for r in rows]
     if args.thresholds:
         thresholds = [float(t) for t in args.thresholds.split(",")]
@@ -381,22 +406,24 @@ def _report_to_json(report: atk.AttackReport, meta: dict) -> str:
 def cmd_attack(args: argparse.Namespace) -> int:
     opts = _Opts(args)
     data = load_dataset(args.data)
-    target, model = _make_target(opts)
     recipe = atk.AttackRecipe(
         kind=opts.get("recipe"),
         candidates_per_position=opts.get("candidates_per_position", int),
         max_queries=opts.get("max_queries", int),
         timeout_seconds=opts.get("timeout_seconds", float),
     )
-    if args.lexicon:
-        lexicon = atk.load_lexicon(args.lexicon)
-    elif isinstance(model, BuiltinModel):
-        lexicon = atk.lexicon_from_model(model)
-    else:
-        lexicon = atk.lexicon_from_dataset(data, scheme=Scheme(opts.get("scheme")))
-    report = atk.run_attack(
-        target, data, recipe, lexicon, scheme=Scheme(opts.get("scheme")), jobs=opts.get("jobs", int)
-    )
+    with _classifier(opts) as model:
+        target = _make_target(opts, model)
+        if args.lexicon:
+            lexicon = atk.load_lexicon(args.lexicon)
+        elif isinstance(model, BuiltinModel):
+            lexicon = atk.lexicon_from_model(model)
+        else:
+            lexicon = atk.lexicon_from_dataset(data, scheme=Scheme(opts.get("scheme")))
+        report = atk.run_attack(
+            target, data, recipe, lexicon, scheme=Scheme(opts.get("scheme")),
+            jobs=opts.get("jobs", int),
+        )
     meta = {
         "mode": "direct",
         "recipe": asdict(recipe),
@@ -429,8 +456,8 @@ def _report_from_json(path: str) -> atk.AttackReport:
 def cmd_transfer(args: argparse.Namespace) -> int:
     opts = _Opts(args)
     source = _report_from_json(args.source_report)
-    target, _ = _make_target(opts)
-    report = atk.transfer_attack(source, target)
+    with _classifier(opts) as model:
+        report = atk.transfer_attack(source, _make_target(opts, model))
     meta = {
         "mode": "transfer",
         "source_report": args.source_report,
@@ -481,14 +508,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="smoothed predictions for a dataset")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model")
+    p.add_argument("--num-classes", dest="num_classes", type=int)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="-")
     _add_shared(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("certify", help="certified radii and cardinalities per instance")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model")
+    p.add_argument("--num-classes", dest="num_classes", type=int)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="-")
     p.add_argument("--bound-mode", dest="bound_mode", choices=["bonferroni-cp", "complement"])
@@ -552,6 +581,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -21,5 +21,10 @@ class TransportError(DelcertError, RuntimeError):
     """
 
 
+class UsageError(DelcertError):
+    """The options cannot be acted on: a required choice is missing, or a
+    classifier command cannot be started."""
+
+
 class DataFormatError(DelcertError, ValueError):
     """A dataset, lexicon or model file could not be parsed."""

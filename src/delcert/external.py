@@ -6,9 +6,10 @@ answers on stdout, one object per line, UTF-8:
     request:  {"id": <int>, "texts": [<str>, ...]}
     response: {"id": <same int>, "labels": [<int>, ...]}
 
-Protocol failures (mismatched id, malformed JSON, wrong label count,
-process exit, timeout) surface as :class:`TransportError`, never as
-classification results.
+Protocol failures (mismatched id, malformed JSON, wrong label count, a
+label that is not an integer class index, process exit, timeout)
+surface as :class:`TransportError`, never as classification results.
+A timeout stops the child, and every later call on the adapter fails.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ class ExternalClassifier:
         self.num_classes = int(num_classes)
         self.timeout = timeout
         argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
+        if not argv:
+            raise ValueError("empty classifier command")
         self._proc = subprocess.Popen(
             argv,
             stdin=subprocess.PIPE,
@@ -40,6 +43,8 @@ class ExternalClassifier:
         )
         self._lock = threading.Lock()
         self._next_id = 0
+        # the failure that stopped the child; set, it fails every later call
+        self._broken: str | None = None
         self._lines: queue.Queue[str | None] = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
@@ -52,6 +57,8 @@ class ExternalClassifier:
 
     def classify_batch(self, texts: Sequence[str]) -> list[int]:
         with self._lock:
+            if self._broken is not None:
+                raise TransportError(f"classifier unusable after an earlier failure: {self._broken}")
             if self._proc.poll() is not None:
                 raise TransportError(f"classifier process exited with {self._proc.returncode}")
             rid = self._next_id
@@ -66,7 +73,11 @@ class ExternalClassifier:
             try:
                 line = self._lines.get(timeout=self.timeout)
             except queue.Empty:
-                raise TransportError(f"no response within {self.timeout}s") from None
+                # a late reply would answer the next request: stop the child
+                self._broken = f"no response within {self.timeout}s (request {rid})"
+                self._proc.kill()
+                self._proc.wait()
+                raise TransportError(self._broken) from None
             if line is None:
                 raise TransportError("classifier process closed its output stream")
             try:
@@ -78,20 +89,31 @@ class ExternalClassifier:
             labels = response.get("labels")
             if not isinstance(labels, list) or len(labels) != len(texts):
                 raise TransportError("response labels missing or of wrong length")
-            return [int(l) for l in labels]
+            for label in labels:
+                # exact type: JSON true/false arrive as bool, 1.7 as float
+                if type(label) is not int or not 0 <= label < self.num_classes:
+                    raise TransportError(
+                        f"label {label!r} is not a class index in [0, {self.num_classes})"
+                    )
+            return labels
 
     def close(self) -> None:
+        try:
+            if self._proc.stdin is not None:
+                self._proc.stdin.close()
+        except OSError:
+            pass
         if self._proc.poll() is None:
-            try:
-                if self._proc.stdin is not None:
-                    self._proc.stdin.close()
-            except OSError:
-                pass
             try:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        # the reader ends at the child's end of output; a grandchild still
+        # holding the pipe would keep it reading, so it may outlive close()
+        self._reader.join(timeout=5)
+        if not self._reader.is_alive() and self._proc.stdout is not None:
+            self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalClassifier":
         return self

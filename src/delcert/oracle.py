@@ -12,15 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifier import BaseClassifier
+from .classifier import BaseClassifier, classify_texts
 from .edit_metrics import EditOpsSet, FULL_OPS, enumerate_ball
 from .errors import GuardError, SchemeMismatchError
 from .mechanisms import DeletionPattern
-from .tokenization import TokenSeq, detokenize
+from .tokenization import TokenSeq
 
 _ENUM_MAX_TOKENS = 18
 _EXACT_MAX_TOKENS = 12
-_CLASSIFY_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,8 @@ def _subsequence_weights(x: TokenSeq, weight_of_popcount) -> dict[tuple, object]
 
 
 def _labels_for_subsequences(model: BaseClassifier, x: TokenSeq, kept_tuples) -> dict[tuple, int]:
-    texts = [detokenize(x.replace_tokens(k)) for k in kept_tuples]
-    labels: list[int] = []
-    for start in range(0, len(texts), _CLASSIFY_CHUNK):
-        labels.extend(model.classify_batch(texts[start : start + _CLASSIFY_CHUNK]))
-    return dict(zip(kept_tuples, labels))
+    texts = [x.scheme.separator.join(k) for k in kept_tuples]
+    return dict(zip(kept_tuples, classify_texts(model, texts).tolist()))
 
 
 def exact_smoothed_scores(

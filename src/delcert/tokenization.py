@@ -16,6 +16,11 @@ class Scheme(str, Enum):
     WHITESPACE = "whitespace"
     CHARACTER = "character"
 
+    @property
+    def separator(self) -> str:
+        """The string :func:`detokenize` joins tokens with."""
+        return " " if self is Scheme.WHITESPACE else ""
+
 
 @dataclass(frozen=True)
 class TokenSeq:
@@ -53,6 +58,11 @@ def _graphemes(text: str) -> list[str]:
     return out
 
 
+def split_tokens(text: str, scheme: Scheme) -> list[str]:
+    """The tokens of :func:`tokenize` as a plain list, without a :class:`TokenSeq`."""
+    return text.split() if scheme is Scheme.WHITESPACE else _graphemes(text)
+
+
 def tokenize(text: str, scheme: Scheme | str = Scheme.WHITESPACE) -> TokenSeq:
     """Split ``text`` into tokens under the given scheme.
 
@@ -60,9 +70,7 @@ def tokenize(text: str, scheme: Scheme | str = Scheme.WHITESPACE) -> TokenSeq:
     character yields one token per grapheme, spaces included.
     """
     scheme = Scheme(scheme)
-    if scheme is Scheme.WHITESPACE:
-        return TokenSeq(tuple(text.split()), scheme)
-    return TokenSeq(tuple(_graphemes(text)), scheme)
+    return TokenSeq(tuple(split_tokens(text, scheme)), scheme)
 
 
 def detokenize(seq: TokenSeq) -> str:
@@ -72,6 +80,4 @@ def detokenize(seq: TokenSeq) -> str:
     original text are not recoverable (edits are defined over tokens, so
     byte-level fidelity is irrelevant).
     """
-    if seq.scheme is Scheme.WHITESPACE:
-        return " ".join(seq.tokens)
-    return "".join(seq.tokens)
+    return seq.scheme.separator.join(seq.tokens)

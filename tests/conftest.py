@@ -52,6 +52,27 @@ class AlternatingClassifier:
         return out
 
 
+class CountingClassifier:
+    """Wraps a classifier, hiding its type so that certification takes the
+    text path, and asserts that no text reaches ``classify_batch`` twice
+    between calls to :meth:`reset`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.num_classes = inner.num_classes
+        self.seen: set[str] = set()
+
+    def reset(self) -> None:
+        self.seen = set()
+
+    def classify_batch(self, texts):
+        batch = set(texts)
+        assert len(batch) == len(texts), "a text repeats within one batch"
+        assert not batch & self.seen, "a text was classified again"
+        self.seen |= batch
+        return self.inner.classify_batch(texts)
+
+
 class SleepyPredictor:
     """Deterministic predictor that dawdles; used to force timeouts."""
 

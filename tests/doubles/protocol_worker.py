@@ -8,10 +8,15 @@ Modes:
   garbage    -- answers with non-JSON noise
   short      -- answers with too few labels
   quit       -- exits immediately without answering
+  float      -- label 1.7 for every text
+  bool       -- label true for every text
+  range      -- label 2 for every text (out of range for two classes)
+  slow       -- label 0 for every text, after a 2-second pause
 """
 
 import json
 import sys
+import time
 
 
 def main() -> None:
@@ -34,6 +39,12 @@ def main() -> None:
             out = {"id": msg["id"], "labels": [0] * max(0, len(texts) - 1)}
         elif mode == "length":
             out = {"id": msg["id"], "labels": [len(t) % 2 for t in texts]}
+        elif mode in ("float", "bool", "range"):
+            label = {"float": 1.7, "bool": True, "range": 2}[mode]
+            out = {"id": msg["id"], "labels": [label] * len(texts)}
+        elif mode == "slow":
+            time.sleep(2)
+            out = {"id": msg["id"], "labels": [0] * len(texts)}
         else:
             out = {"id": msg["id"], "labels": [0] * len(texts)}
         sys.stdout.write(json.dumps(out) + "\n")

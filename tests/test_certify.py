@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,10 +29,17 @@ from delcert.certify import (
     vote_counts,
 )
 from delcert.edit_metrics import EditDecomposition
-from delcert.mechanisms import MechanismKind, MechanismParams
+from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
 from delcert.rng import RandomStream
+from delcert.tokenization import detokenize
 
-from conftest import AlternatingClassifier, ConstantClassifier, KeywordClassifier, marker_presence_dataset
+from conftest import (
+    AlternatingClassifier,
+    ConstantClassifier,
+    CountingClassifier,
+    KeywordClassifier,
+    marker_presence_dataset,
+)
 
 DEL90 = MechanismParams(MechanismKind.DELETION, 0.9)
 DEL50 = MechanismParams(MechanismKind.DELETION, 0.5)
@@ -296,21 +304,41 @@ def test_vote_fraction_matches_exact_score():
     assert abs(frac - 0.5) <= 3 * sigma
 
 
+def _reference_votes(model, x, mech, n_samples, rng):
+    """The text path one draw at a time: a text per draw, built token by
+    token and scored on its own.  Returns the votes and the texts."""
+    keep = deletion_keep_matrix(n_samples, len(x), mech.rate, rng)
+    texts = [detokenize(x.replace_tokens([t for t, k in zip(x.tokens, row) if k])) for row in keep]
+    labels = [int(np.argmax(model.scores_for_tokens(tokenize(t).tokens))) for t in texts]
+    return np.bincount(labels, minlength=model.num_classes), texts, keep
+
+
 def test_fast_path_matches_text_path():
     data = marker_presence_dataset(120, seed=13)
     model = train_builtin(data, DEL90, stream=RandomStream(4))
-    x = tokenize(data.items[1][0])
+    forty = " ".join(f"film{j % 10}" for j in range(39)) + " good"
+    repeated = "film1 good film1 film1 good film2 film1 good"
+    texts = {"data": data.items[1][0], "empty": "", "one": "good", "forty": forty,
+             "repeated": repeated}
+    counting = CountingClassifier(model)
+    for (name, text), p_del in itertools.product(texts.items(), (0.5, 0.9, 0.99)):
+        case = f"{name} at p_del {p_del}"
+        x = tokenize(text)
+        mech = MechanismParams(MechanismKind.DELETION, p_del)
 
-    fast = vote_counts(model, x, DEL90, 500, RandomStream(11).child(0).generator())
+        def rng():
+            return RandomStream(11).child(0).generator()
 
-    class Opaque:  # hides the model type so the text path is taken
-        num_classes = model.num_classes
-
-        def classify_batch(self, texts):
-            return model.classify_batch(texts)
-
-    slow = vote_counts(Opaque(), x, DEL90, 500, RandomStream(11).child(0).generator())
-    assert np.array_equal(fast, slow)
+        # 3000 draws: 40 tokens at p_del 0.5 give more distinct texts than one chunk
+        fast = vote_counts(model, x, mech, 3000, rng())
+        counting.reset()
+        slow = vote_counts(counting, x, mech, 3000, rng())
+        ref, ref_texts, keep = _reference_votes(model, x, mech, 3000, rng())
+        assert np.array_equal(fast, ref), case
+        assert np.array_equal(slow, ref), case
+        assert counting.seen == set(ref_texts), case
+        if name == "repeated":  # distinct patterns that give equal texts
+            assert len({row.tobytes() for row in keep}) > len(set(ref_texts)), case
 
 
 # -- full certification ------------------------------------------------------

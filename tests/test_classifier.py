@@ -5,6 +5,7 @@ from delcert import LabeledDataset, train_builtin
 from delcert.classifier import BuiltinModel
 from delcert.mechanisms import MechanismKind, MechanismParams
 from delcert.rng import RandomStream
+from delcert.tokenization import Scheme, tokenize
 
 from conftest import marker_presence_dataset
 
@@ -73,11 +74,22 @@ def test_training_item_classified_correctly():
 
 def test_batch_equals_elementwise():
     train = marker_presence_dataset(100, seed=21)
-    model = train_builtin(train, DELETE_90, stream=RandomStream(2))
     texts = [t for t, _ in marker_presence_dataset(30, seed=22).items]
-    batch = model.classify_batch(texts)
-    single = [model.classify_batch([t])[0] for t in texts]
-    assert batch == single
+    # random texts over the vocabulary, unseen tokens and blanks, empty ones included
+    rng = np.random.default_rng(23)
+    pool = ["good", "film0", "film3", "film9", "unseen", "zz", "  ", "\t"]
+    for n in rng.integers(0, 25, size=300):
+        texts.append(" ".join(pool[i] for i in rng.integers(len(pool), size=n)))
+    texts += ["", "   ", "unseen"]
+    for scheme in Scheme:
+        model = train_builtin(train, DELETE_90, stream=RandomStream(2), scheme=scheme)
+        batch = model.classify_batch(texts)
+        single = [model.classify_batch([t])[0] for t in texts]
+        # the per-text reference: score one token sequence at a time
+        loop = [int(np.argmax(model.scores_for_tokens(tokenize(t, scheme).tokens))) for t in texts]
+        assert batch == single == loop, scheme
+        assert all(type(label) is int for label in batch)
+        assert model.classify_batch([]) == []
 
 
 def test_classify_deterministic():

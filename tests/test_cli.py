@@ -1,4 +1,6 @@
+import csv
 import json
+import shlex
 import sys
 
 import pytest
@@ -305,6 +307,44 @@ def test_attack_external_echo(trained, tmp_path, capsys):
     assert rc == 0
     payload = json.loads((tmp_path / "ext.json").read_text())
     assert payload["counts"]["success"] == 0  # constant classifier is unflippable
+
+
+def test_certify_and_predict_external_echo(trained, worker_cmd, tmp_path):
+    _, test_path, _ = trained
+    worker = shlex.join(worker_cmd("echo0"))
+    common = ["--external-cmd", worker, "--num-classes", "2", "--data", str(test_path),
+              "--n-pred", "50", "--seed", "5"]
+    records = tmp_path / "ext.csv"
+    assert main(["certify", *common, "--n-cert", "100", "--out", str(records)]) == 0
+    rows = list(csv.DictReader(records.read_text(encoding="utf-8").splitlines()))
+    assert len(rows) == 40 and all(r["predicted"] == "0" for r in rows)
+    preds = tmp_path / "pred.csv"
+    assert main(["predict", *common, "--out", str(preds)]) == 0
+    rows = list(csv.DictReader(preds.read_text(encoding="utf-8").splitlines()))
+    assert len(rows) == 40 and all(r["predicted"] == "0" for r in rows)
+
+
+def test_missing_external_cmd_exit_2(trained, tmp_path, capsys):
+    _, test_path, _ = trained
+    missing = str(tmp_path / "no-such-classifier")
+    for cmd in ("certify", "predict"):
+        rc = main([cmd, "--external-cmd", missing, "--data", str(test_path)])
+        assert rc == 2
+        assert "no-such-classifier" in capsys.readouterr().err
+    assert main(["certify", "--data", str(test_path)]) == 2  # neither --model nor --external-cmd
+    assert "--external-cmd" in capsys.readouterr().err
+
+
+def test_curve_counts_abstentions_as_wrong(tmp_path):
+    # one certified correct row and one abstained row whose prediction is correct
+    header = ["instance", "true_label", "predicted", "abstained", "log10_cc_lb"]
+    records = tmp_path / "rec.csv"
+    records.write_text(
+        "\n".join([",".join(header), "0,1,1,0,3.5", "1,0,0,1,0.0"]) + "\n", encoding="utf-8"
+    )
+    curve = tmp_path / "curve.csv"
+    assert main(["curve", "--records", str(records), "--thresholds", "0,3.5", "--out", str(curve)]) == 0
+    assert curve.read_text().splitlines()[1:] == ["0.0,0.5", "3.5,0.5"]
 
 
 def test_config_file_precedence(trained, capsys):

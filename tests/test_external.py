@@ -29,6 +29,32 @@ def test_wrong_label_count_is_transport_error(worker_cmd):
             clf.classify_batch(["x", "y"])
 
 
+@pytest.mark.parametrize("mode", ["float", "bool"])
+def test_non_integer_label_is_transport_error(worker_cmd, mode):
+    with ExternalClassifier(worker_cmd(mode), num_classes=2) as clf:
+        with pytest.raises(TransportError, match="not a class index"):
+            clf.classify_batch(["x"])
+
+
+def test_out_of_range_label_is_transport_error(worker_cmd):
+    with ExternalClassifier(worker_cmd("range"), num_classes=2) as clf:
+        with pytest.raises(TransportError, match=r"label 2 is not a class index in \[0, 2\)"):
+            clf.classify_batch(["x"])
+    with ExternalClassifier(worker_cmd("range"), num_classes=3) as clf:
+        assert clf.classify_batch(["x", "y"]) == [2, 2]
+
+
+def test_timeout_stops_child_and_breaks_adapter(worker_cmd):
+    with ExternalClassifier(worker_cmd("slow"), num_classes=2, timeout=0.2) as clf:
+        with pytest.raises(TransportError, match="no response within 0.2s"):
+            clf.classify_batch(["x"])
+        assert clf._proc.poll() is not None  # the child was stopped
+        # without the stop, the late reply would surface here as an id mismatch
+        for _ in range(2):
+            with pytest.raises(TransportError, match="earlier failure: no response within 0.2s"):
+                clf.classify_batch(["y"])
+
+
 def test_process_exit_is_transport_error(worker_cmd):
     clf = ExternalClassifier(worker_cmd("quit"), num_classes=2, timeout=5)
     try:
