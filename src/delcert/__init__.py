@@ -5,7 +5,7 @@ The public surface groups into:
 
 - :mod:`~delcert.tokenization` -- the adversary's tokenizer;
 - :mod:`~delcert.edit_metrics` -- constrained edit distances, balls and
-  their cardinalities (with a compiled kernel, see :mod:`~delcert.kernels`);
+  their cardinalities (the DP lives in :mod:`~delcert.kernels`);
 - :mod:`~delcert.mechanisms` -- deletion and masking noise;
 - :mod:`~delcert.classifier` / :mod:`~delcert.external` -- base models;
 - :mod:`~delcert.certify` -- smoothed prediction, score bounds, radii;

@@ -476,7 +476,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _add_shared(p: argparse.ArgumentParser, classifier: bool = True) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--mechanism", choices=["deletion", "masking"])
     p.add_argument("--rate", type=float, help="p_del or p_mask")
@@ -488,9 +488,10 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--timeout-seconds", dest="timeout_seconds", type=float)
     p.add_argument("--max-queries", dest="max_queries", type=int)
-    p.add_argument("--external-cmd", dest="external_cmd", help="spawn a line-protocol classifier")
     p.add_argument("--scheme", choices=["whitespace", "character"])
-    p.add_argument("--jobs", type=int)
+    if classifier:  # subcommands that query a base classifier
+        p.add_argument("--external-cmd", dest="external_cmd", help="spawn a line-protocol classifier")
+        p.add_argument("--jobs", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--samples-per-instance", dest="samples_per_instance", type=int)
-    _add_shared(p)
+    _add_shared(p, classifier=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="smoothed predictions for a dataset")
@@ -538,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="include the automaton exact count")
     p.add_argument("--tokens", help="whitespace-separated pattern for the exact count")
     p.add_argument("--out", default="-")
-    _add_shared(p)
+    _add_shared(p, classifier=False)
     p.set_defaults(func=cmd_cardinality)
 
     p = sub.add_parser("textcrs", help="edit-radius coverage of reordering-style certificates")

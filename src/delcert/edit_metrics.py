@@ -13,11 +13,13 @@ only, the ball around ``x`` consists of supersequences of ``x``.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
+
+import numpy as np
 
 from . import kernels
 from .errors import GuardError, SchemeMismatchError
@@ -144,8 +146,9 @@ def edit_decomposition(a: TokenSeq, b: TokenSeq) -> EditDecomposition:
     _check_schemes(a, b)
     ia, ib = _intern_pair(a.tokens, b.tokens)
     d = kernels.edit_distance_ids(ia, ib, True, True, True)
-    ell = kernels.lcs_length_ids(ia, ib)
-    n_sub = len(ia) + len(ib) - 2 * ell - d
+    indel = kernels.edit_distance_ids(ia, ib, True, True, False)  # |a| + |b| - 2 LCS
+    ell = (len(ia) + len(ib) - indel) // 2
+    n_sub = indel - d
     n_del = len(ia) - ell - n_sub
     n_ins = len(ib) - ell - n_sub
     if min(n_sub, n_del, n_ins) < 0:  # pragma: no cover - DP invariant
@@ -162,8 +165,9 @@ def enumerate_ball(
     """Brute-force oracle for the radius-``radius`` edit ball around ``x``.
 
     Every sequence over ``alphabet`` whose length could be within reach
-    is generated and filtered through :func:`edit_distance`.  Guarded to
-    desk scale; this function exists to validate formulas, not to be fast.
+    is generated and filtered by one batched edit-distance call per
+    length.  Guarded to desk scale; this function exists to validate
+    formulas.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -178,20 +182,24 @@ def enumerate_ball(
             f"or member length {hi} > {_BALL_MAX_LEN}"
         )
     ids = {tok: i for i, tok in enumerate(alphabet)}
-    x_ids = []
-    for tok in x.tokens:
-        if tok not in ids:
-            ids[tok] = len(ids)
-        x_ids.append(ids[tok])
+    x_ids = [ids.setdefault(tok, len(ids)) for tok in x.tokens]
+    tokens = np.array(alphabet, dtype=object)
     members: set[TokenSeq] = set()
     for m in range(lo, hi + 1):
-        for cand in itertools.product(range(len(alphabet)), repeat=m):
-            d = kernels.edit_distance_ids(
-                cand, x_ids, ops.allow_del, ops.allow_ins, ops.allow_sub
-            )
-            if 0 <= d <= radius:
-                members.add(TokenSeq(tuple(alphabet[i] for i in cand), x.scheme))
+        cands = _universe(len(alphabet), m)
+        d = kernels.edit_distance_ids(cands, x_ids, ops.allow_del, ops.allow_ins, ops.allow_sub)
+        within = cands[(d >= 0) & (d <= radius)]
+        members.update(TokenSeq(tuple(row), x.scheme) for row in tokens[within].tolist())
     return members
+
+
+@functools.lru_cache(maxsize=None)
+def _universe(size: int, length: int) -> np.ndarray:
+    """Every length-``length`` id sequence over ``range(size)``, one per
+    row in lexicographic order (read-only; bounded by the ball guards)."""
+    grid = np.indices((size,) * length, dtype=np.int8).reshape(length, size**length).T
+    grid.flags.writeable = False
+    return grid
 
 
 def hamming_ball_cardinality(params: CardinalityParams) -> int:

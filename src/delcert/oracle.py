@@ -7,8 +7,12 @@ The oracle exists to validate formulas, not to certify real inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +24,8 @@ from .tokenization import TokenSeq
 
 _ENUM_MAX_TOKENS = 18
 _EXACT_MAX_TOKENS = 12
+#: most (sequence, deletion pattern) rows gathered at once while scoring
+_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -31,20 +37,11 @@ class ExactScores:
 
     @property
     def argmax(self) -> int:
-        best = 0
-        for c in range(1, len(self.probs)):
-            if self.probs[c] > self.probs[best]:
-                best = c
-        return best
+        return max(range(len(self.probs)), key=self.probs.__getitem__)
 
     def runner_up(self) -> int:
         top = self.argmax
-        rest = [c for c in range(len(self.probs)) if c != top]
-        best = rest[0]
-        for c in rest[1:]:
-            if self.probs[c] > self.probs[best]:
-                best = c
-        return best
+        return max((c for c in range(len(self.probs)) if c != top), key=self.probs.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -56,24 +53,78 @@ class AlignmentWitness:
     common: TokenSeq
 
 
-def _subsequence_weights(x: TokenSeq, weight_of_popcount) -> dict[tuple, object]:
-    """Aggregate pattern mass per distinct kept subsequence."""
-    n = len(x)
-    tokens = x.tokens
-    weights: dict[tuple, object] = {}
-    for mask in range(1 << n):
-        kept = tuple(tokens[i] for i in range(n) if not (mask >> i) & 1)
-        w = weight_of_popcount(mask.bit_count())
-        if kept in weights:
-            weights[kept] = weights[kept] + w
-        else:
-            weights[kept] = w
-    return weights
+@functools.lru_cache(maxsize=None)
+def _keep_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table and deletion count of every deletion pattern on ``n`` tokens.
+
+    Pattern ``mask`` deletes token ``i`` when bit ``i`` is set.  Its row
+    lists the 1-based positions of the kept tokens, then zeros: gathered
+    from an id row with a zero in front, it gives the kept subsequence,
+    zero-padded to at least 8 ids so that a row of byte ids is one key.
+    """
+    deleted = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    n_deleted = deleted.sum(axis=1)
+    table = np.zeros((1 << n, max(n, 8)), dtype=np.uint8)
+    kept_first = np.argsort(deleted, axis=1, kind="stable") + 1
+    table[:, :n] = np.where(np.arange(n) < n - n_deleted[:, None], kept_first, 0)
+    table.flags.writeable = n_deleted.flags.writeable = False
+    return table, n_deleted
 
 
-def _labels_for_subsequences(model: BaseClassifier, x: TokenSeq, kept_tuples) -> dict[tuple, int]:
-    texts = [x.scheme.separator.join(k) for k in kept_tuples]
-    return dict(zip(kept_tuples, classify_texts(model, texts).tolist()))
+def _smoothed_scores(
+    model: BaseClassifier, seqs: Sequence[TokenSeq], p_del: float, exact: bool
+) -> list[ExactScores]:
+    """Exact smoothed scores of each sequence, in input order.
+
+    Sequences of one length are scored together: every kept subsequence
+    of every sequence becomes a row of byte token ids (the enumeration
+    guards keep the distinct tokens well under 256), each distinct text
+    is classified once per call, and patterns are counted per
+    ``(tokens deleted, class)``.  With ``Fraction(p_del) == M / e``, a
+    pattern deleting ``k`` of ``n`` tokens has mass
+    ``M^k (e - M)^(n - k) / e^n``, so each probability is one ratio of
+    integers: a ``Fraction`` when ``exact``, else the nearest float.
+    """
+    p = Fraction(p_del)
+    m, e = p.numerator, p.denominator
+    classes = model.num_classes
+    vocab = dict.fromkeys(chain.from_iterable(s.tokens for s in seqs))
+    names = np.array(["", *vocab], dtype=object)
+    token_id = {tok: i for i, tok in enumerate(names)}
+    sep = seqs[0].scheme.separator
+    label_of: dict[str, int] = {}
+    scores_of: dict[tuple, ExactScores] = {}  # by counts, which many sequences share
+    by_length: dict[int, list[int]] = {}
+    for i, s in enumerate(seqs):
+        by_length.setdefault(len(s), []).append(i)
+    out: list = [None] * len(seqs)
+    for n, idx in by_length.items():
+        table, n_deleted = _keep_table(n)
+        weights, den = [m**k * (e - m) ** (n - k) for k in range(n + 1)], e**n
+        ids = np.zeros((len(idx), n + 1), dtype=np.uint8)
+        flat = map(token_id.__getitem__, chain.from_iterable(seqs[i].tokens for i in idx))
+        ids[:, 1:] = np.fromiter(flat, dtype=np.uint8, count=len(idx) * n).reshape(len(idx), n)
+        step = max(1, _BLOCK_ROWS >> n)
+        for start in range(0, len(idx), step):
+            block = ids[start : start + step]
+            rows = block[:, table].reshape(-1, table.shape[1])
+            keys = rows.view(np.uint64 if rows.shape[1] == 8 else f"V{rows.shape[1]}").ravel()
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            rows = distinct.view(np.uint8).reshape(len(distinct), -1)
+            kept = np.count_nonzero(rows, axis=1).tolist()
+            texts = [sep.join(r[:k]) for r, k in zip(names[rows].tolist(), kept)]
+            new = [t for t in texts if t not in label_of]
+            label_of.update(zip(new, classify_texts(model, new).tolist()))
+            labels = np.array([label_of[t] for t in texts])[inverse].reshape(len(block), -1)
+            cell = (np.arange(len(block))[:, None] * (n + 1) + n_deleted) * classes + labels
+            counts = np.bincount(cell.ravel(), minlength=len(block) * (n + 1) * classes)
+            for i, row in zip(idx[start:], map(tuple, counts.reshape(len(block), -1).tolist())):
+                if row not in scores_of:
+                    nums = [sum(map(mul, row[c::classes], weights)) for c in range(classes)]
+                    probs = tuple(Fraction(v, den) if exact else v / den for v in nums)
+                    scores_of[row] = ExactScores(probs, n)
+                out[i] = scores_of[row]
+    return out
 
 
 def exact_smoothed_scores(
@@ -81,44 +132,18 @@ def exact_smoothed_scores(
 ) -> ExactScores:
     """Exact smoothed scores by summing the full Bernoulli pattern mass.
 
-    ``method="float"`` uses double precision with Kahan-compensated
-    accumulation; ``method="fraction"`` keeps everything rational (only
-    offered up to 12 tokens, where it is still cheap).
+    ``method="fraction"`` returns the exact rationals (only offered up to
+    12 tokens); ``method="float"`` rounds each of them to the nearest
+    double.
     """
     n = len(x)
     if n > _ENUM_MAX_TOKENS:
         raise GuardError(f"{n} tokens exceeds the 2^n enumeration guard ({_ENUM_MAX_TOKENS})")
-    if method == "fraction":
-        if n > _EXACT_MAX_TOKENS:
-            raise GuardError(f"rational mode is limited to {_EXACT_MAX_TOKENS} tokens")
-        p = Fraction(p_del)
-        pow_table = [p**k * (1 - p) ** (n - k) for k in range(n + 1)]
-    elif method == "float":
-        pow_table = [p_del**k * (1.0 - p_del) ** (n - k) for k in range(n + 1)]
-    else:
+    if method not in ("fraction", "float"):
         raise ValueError(f"unknown method {method!r}")
-
-    weights = _subsequence_weights(x, lambda k: pow_table[k])
-    label_of = _labels_for_subsequences(model, x, list(weights))
-    num_classes = model.num_classes
-    if method == "fraction":
-        probs = [Fraction(0)] * num_classes
-        for kept, w in weights.items():
-            probs[label_of[kept]] += w
-        return ExactScores(tuple(probs), n)
-    sums = [0.0] * num_classes
-    comps = [0.0] * num_classes  # Kahan compensation terms
-    for kept, w in weights.items():
-        c = label_of[kept]
-        y = w - comps[c]
-        t = sums[c] + y
-        comps[c] = (t - sums[c]) - y
-        sums[c] = t
-    return ExactScores(tuple(sums), n)
-
-
-def exact_smoothed_argmax(model: BaseClassifier, x: TokenSeq, p_del: float) -> int:
-    return exact_smoothed_scores(model, x, p_del).argmax
+    if method == "fraction" and n > _EXACT_MAX_TOKENS:
+        raise GuardError(f"rational mode is limited to {_EXACT_MAX_TOKENS} tokens")
+    return _smoothed_scores(model, [x], p_del, exact=method == "fraction")[0]
 
 
 def alignment_witness(a: TokenSeq, b: TokenSeq) -> AlignmentWitness:
@@ -172,14 +197,15 @@ def verify_certificate(
 ) -> list[TokenSeq]:
     """Recompute the exact smoothed argmax at every ball member.
 
-    Returns the members whose prediction differs from the one at ``x``;
-    an empty list means the claimed radius survived brute force.
+    ``x`` and its ball are scored in one batched pass (the scores of
+    :func:`exact_smoothed_scores`), so that a text shared by several
+    sequences is classified once.  Returns the members whose prediction
+    differs from the one at ``x``; an empty list means the claimed
+    radius survived brute force.
     """
-    prediction = exact_smoothed_argmax(model, x, p_del)
-    violations = []
-    for member in sorted(enumerate_ball(x, radius, ops, alphabet), key=lambda s: s.tokens):
-        if member.tokens == x.tokens:
-            continue
-        if exact_smoothed_argmax(model, member, p_del) != prediction:
-            violations.append(member)
-    return violations
+    members = sorted(
+        (m for m in enumerate_ball(x, radius, ops, alphabet) if m.tokens != x.tokens),
+        key=lambda s: s.tokens,
+    )
+    at_x, *scores = _smoothed_scores(model, [x, *members], p_del, exact=False)
+    return [m for m, s in zip(members, scores) if s.argmax != at_x.argmax]

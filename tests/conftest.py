@@ -36,20 +36,14 @@ class ConstantClassifier:
         return [self.label] * len(texts)
 
 
-class AlternatingClassifier:
-    """Flips label per call; used to force crossed confidence bounds."""
+class ParityClassifier:
+    """Label is the parity of the token count: at p_del 0.5 the two classes
+    split the deletion mass of any non-empty input exactly in half."""
 
     num_classes = 2
 
-    def __init__(self):
-        self.calls = 0
-
     def classify_batch(self, texts):
-        out = []
-        for _ in texts:
-            out.append(self.calls % 2)
-            self.calls += 1
-        return out
+        return [len(t.split()) % 2 for t in texts]
 
 
 class CountingClassifier:

@@ -34,10 +34,10 @@ from delcert.rng import RandomStream
 from delcert.tokenization import detokenize
 
 from conftest import (
-    AlternatingClassifier,
     ConstantClassifier,
     CountingClassifier,
     KeywordClassifier,
+    ParityClassifier,
     marker_presence_dataset,
 )
 
@@ -364,10 +364,11 @@ def test_certify_constant_classifier_defaults():
 
 
 def test_certify_coin_classifier_abstains():
+    # both classes hold exactly half the mass, so the bounds cross
     cert = certify(
-        AlternatingClassifier(),
-        tokenize("one two three"),
-        DEL90,
+        ParityClassifier(),
+        tokenize(" ".join(f"t{i}" for i in range(40))),
+        DEL50,
         n_pred=101,
         n_cert=400,
         alpha=0.05,

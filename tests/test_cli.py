@@ -237,6 +237,23 @@ def test_cardinality_guard_exit_4(capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("flag", [["--external-cmd", "python3 worker.py"], ["--jobs", "2"]])
+def test_train_rejects_classifier_flags(tmp_path, flag):
+    data = tmp_path / "train.jsonl"
+    write_jsonl(data, marker_presence_dataset(4, seed=1))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), *flag])
+    assert exc.value.code == 2
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--external-cmd", "python3 worker.py"], ["--jobs", "2"]])
+def test_cardinality_rejects_classifier_flags(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["cardinality", "--length", "3", "--radius", "1", *flag])
+    assert exc.value.code == 2
+
+
 def test_textcrs_command(capsys):
     rc = main(["textcrs", "--length", "3"])
     assert rc == 0

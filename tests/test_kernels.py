@@ -1,49 +1,31 @@
-"""Behavioral equivalence of the compiled and pure edit-distance kernels."""
+"""The row-batched edit-distance kernel against the scalar one."""
 
+import itertools
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from delcert import _editdp as py_impl
-from delcert import kernels
+from delcert import ALL_OPS_SETS
+from delcert.kernels import edit_distance_ids
 
-cy_impl = pytest.importorskip(
-    "delcert._editdp_cy", reason="compiled kernel not built in this environment"
-)
-
-ids = st.lists(st.integers(0, 4), max_size=8)
-flags = st.booleans()
+#: candidates over ids {0, 1, 2}; ids 3 and 4 never occur in a candidate
+XS = [(), (0,), (1, 2), (0, 0, 1), (2, 1, 0, 1), (3,), (0, 3, 1), (4, 4, 2, 0)]
 
 
-def _cy_dist(a, b, d, i, s):
-    import numpy as np
-
-    return cy_impl.edit_distance_ids(
-        np.asarray(a, dtype=np.intc), np.asarray(b, dtype=np.intc), d, i, s
-    )
-
-
-@given(ids, ids, flags, flags, flags)
-@settings(max_examples=400)
-def test_distance_kernels_agree(a, b, d, i, s):
-    if not (d or i or s):
-        return
-    assert py_impl.edit_distance_ids(a, b, d, i, s) == _cy_dist(a, b, d, i, s)
-
-
-@given(ids, ids)
-@settings(max_examples=300)
-def test_lcs_kernels_agree(a, b):
-    import numpy as np
-
-    cy = cy_impl.lcs_length_ids(np.asarray(a, dtype=np.intc), np.asarray(b, dtype=np.intc))
-    assert py_impl.lcs_length_ids(a, b) == cy
-
-
-def test_dispatch_reports_backend():
-    assert kernels.BACKEND in ("cython", "python")
+@pytest.mark.parametrize("ops", ALL_OPS_SETS, ids=lambda ops: ops.letters)
+def test_rows_equal_scalar(ops):
+    flags = (ops.allow_del, ops.allow_ins, ops.allow_sub)
+    for m in range(7):
+        cands = np.array(list(itertools.product(range(3), repeat=m)), dtype=np.int8)
+        cands = cands.reshape(3**m, m)
+        for x in XS:
+            got = edit_distance_ids(cands, x, *flags)
+            want = [edit_distance_ids(row, x, *flags) for row in cands.tolist()]
+            assert got.tolist() == want, (m, x)
 
 
 def test_unreachable_is_minus_one():
-    assert py_impl.edit_distance_ids([1, 2], [1], False, False, True) == -1
-    assert _cy_dist([1, 2], [1], False, False, True) == -1
+    assert edit_distance_ids([1, 2], [1], False, False, True) == -1
+    rows = np.array([[1, 2], [1, 1]], dtype=np.int8)
+    assert edit_distance_ids(rows, [1], False, False, True).tolist() == [-1, -1]
+    assert edit_distance_ids(rows, [1, 3], False, False, True).tolist() == [1, 1]

@@ -5,9 +5,11 @@ import pytest
 
 from delcert import (
     FULL_OPS,
+    EditOpsSet,
     Scheme,
     TokenSeq,
     edit_decomposition,
+    enumerate_ball,
     pairwise_bounds,
     tokenize,
 )
@@ -16,13 +18,12 @@ from delcert.errors import GuardError
 from delcert.mechanisms import MechanismKind, MechanismParams
 from delcert.oracle import (
     alignment_witness,
-    exact_smoothed_argmax,
     exact_smoothed_scores,
     verify_certificate,
 )
 from delcert.rng import RandomStream
 
-from conftest import ConstantClassifier, KeywordClassifier, seqs
+from conftest import ConstantClassifier, CountingClassifier, KeywordClassifier, seqs
 
 W = Scheme.WHITESPACE
 
@@ -60,6 +61,32 @@ def test_guards():
         exact_smoothed_scores(kw, TokenSeq(("t",) * 19, W), 0.5)
     with pytest.raises(GuardError):
         exact_smoothed_scores(kw, TokenSeq(("t",) * 13, W), 0.5, method="fraction")
+
+
+class TokenSumClassifier:
+    """Three classes: the weighted token count ``#a + 2 #b`` modulo 3."""
+
+    num_classes = 3
+
+    def classify_batch(self, texts):
+        return [sum({"a": 1, "b": 2}.get(t, 0) for t in text.split()) % 3 for text in texts]
+
+
+@pytest.mark.parametrize("model", [KeywordClassifier("a"), TokenSumClassifier()],
+                         ids=["keyword", "three-class"])
+def test_float_scores_are_rounded_fractions(model):
+    for x in seqs(["a", "b", "c"], 6):
+        for p in (0.5, 0.8, 0.9):
+            q = exact_smoothed_scores(model, x, p, method="fraction").probs
+            assert sum(q) == 1
+            assert exact_smoothed_scores(model, x, p).probs == tuple(float(v) for v in q)
+
+
+def test_guard_maximum_runs():
+    x = TokenSeq(tuple("abc" * 6), W)  # 18 tokens, six of them the marker
+    s = exact_smoothed_scores(KeywordClassifier("a"), x, 0.5)
+    assert s.n == 18
+    assert s.probs == (1 / 64, 63 / 64)  # class 0 iff every marker is deleted
 
 
 def test_invariant_to_unconsulted_tokens():
@@ -166,7 +193,21 @@ def test_inflated_radius_caught():
     assert r == 0  # margin is exactly one at the 0.5 boundary
     violations = verify_certificate(kw, x, r + 3, FULL_OPS, ["a", "b"], 0.5)
     assert violations
-    assert all(exact_smoothed_argmax(kw, v, 0.5) != 0 for v in violations)
+    assert all(exact_smoothed_scores(kw, v, 0.5).argmax != 0 for v in violations)
+
+
+def test_verify_classifies_each_text_once():
+    kw = KeywordClassifier()
+    cases = (("b b", 3, FULL_OPS), ("a b", 2, FULL_OPS), ("b a", 2, EditOpsSet(False, True, True)))
+    for text, r, ops in cases:
+        x = tokenize(text)
+        # CountingClassifier fails the call if any text reaches the model twice
+        found = verify_certificate(CountingClassifier(kw), x, r, ops, ["a", "b", "c"], 0.5)
+        assert found == verify_certificate(kw, x, r, ops, ["a", "b", "c"], 0.5)
+        # the per-member reference: every member scored on its own
+        top = exact_smoothed_scores(kw, x, 0.5).argmax
+        members = sorted(enumerate_ball(x, r, ops, ["a", "b", "c"]), key=lambda m: m.tokens)
+        assert found == [m for m in members if exact_smoothed_scores(kw, m, 0.5).argmax != top]
 
 
 def test_constant_classifier_never_violates():
