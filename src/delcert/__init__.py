@@ -41,12 +41,10 @@ from .edit_metrics import (
     lev_ball_cardinality_lower_bound,
 )
 from .mechanisms import (
-    DeletionPattern,
     MechanismKind,
     MechanismParams,
-    apply_deletion,
+    deletion_keep_matrix,
     pattern_probability,
-    sample_deletion_pattern,
     sample_masking,
 )
 from .rng import RandomStream
@@ -60,7 +58,6 @@ __all__ = [
     "BuiltinModel",
     "CardinalityParams",
     "Certificate",
-    "DeletionPattern",
     "EditDecomposition",
     "EditOpsSet",
     "LabeledDataset",
@@ -71,9 +68,9 @@ __all__ = [
     "ScoreBounds",
     "ScoreEstimate",
     "TokenSeq",
-    "apply_deletion",
     "certified_radius",
     "certify",
+    "deletion_keep_matrix",
     "detokenize",
     "edit_decomposition",
     "edit_distance",
@@ -84,7 +81,6 @@ __all__ = [
     "pairwise_bounds",
     "pattern_probability",
     "radius_from_margin",
-    "sample_deletion_pattern",
     "sample_masking",
     "score_bounds",
     "smoothed_predict",

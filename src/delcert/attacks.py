@@ -7,6 +7,10 @@ the label flips, the query budget runs out, or the per-instance
 wall-clock timeout fires.  Outcomes use the four-way taxonomy
 success / fail / skipped / timeout; robust accuracy is the fraction of
 fail-or-timeout instances.
+
+A target is any :class:`~delcert.classifier.BaseClassifier`, queried one
+text at a time: a base model itself, or the smoothed classifier through
+:class:`~delcert.certify.SmoothedPredictor`.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Sequence
 
-from .classifier import LabeledDataset
+from .classifier import BaseClassifier, LabeledDataset
 from .edit_metrics import FULL_OPS, edit_distance
 from .errors import DataFormatError, TransportError
 from .tokenization import Scheme, detokenize, tokenize
@@ -25,14 +29,6 @@ SUCCESS = "success"
 FAIL = "fail"
 SKIPPED = "skipped"
 TIMEOUT = "timeout"
-
-
-class Predictor(Protocol):
-    num_classes: int
-
-    def predict(self, text: str) -> int: ...
-
-    def predict_batch(self, texts: Sequence[str]) -> list[int]: ...
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ class _Halt(Exception):
 class _QueryBudget:
     """Counts target queries; raises when budget or wall clock runs out."""
 
-    def __init__(self, target: Predictor, recipe: AttackRecipe):
+    def __init__(self, target: BaseClassifier, recipe: AttackRecipe):
         self.target = target
         self.recipe = recipe
         self.used = 0
@@ -168,7 +164,7 @@ class _QueryBudget:
         if self.used >= self.recipe.max_queries:
             raise _Halt(FAIL)
         self.used += 1
-        return self.target.predict(text)
+        return self.target.classify_batch([text])[0]
 
 
 def _perturbations(kind: str, token: str, lexicon: Lexicon, k: int) -> list[tuple[str, str | None]]:
@@ -181,7 +177,7 @@ def _perturbations(kind: str, token: str, lexicon: Lexicon, k: int) -> list[tupl
 
 
 def _attack_instance(
-    target: Predictor,
+    target: BaseClassifier,
     index: int,
     text: str,
     label: int,
@@ -191,7 +187,7 @@ def _attack_instance(
 ) -> AttackOutcome:
     budget = _QueryBudget(target, recipe)
     base = AttackOutcome(index, FAIL, 0, text, label)
-    clean = target.predict(text)  # clean check is not charged to the budget
+    clean = target.classify_batch([text])[0]  # clean check is not charged to the budget
     if clean != label:
         return replace(base, status=SKIPPED)
 
@@ -262,7 +258,7 @@ def _build_report(
 
 
 def run_attack(
-    target: Predictor,
+    target: BaseClassifier,
     data: LabeledDataset,
     recipe: AttackRecipe,
     lexicon: Lexicon | None = None,
@@ -299,7 +295,7 @@ def run_attack(
     return _build_report(outcomes, errors)
 
 
-def transfer_attack(source_report: AttackReport, target: Predictor) -> AttackReport:
+def transfer_attack(source_report: AttackReport, target: BaseClassifier) -> AttackReport:
     """Replay the source's successful adversarial texts against ``target``.
 
     Only source successes transfer; clean and robust accuracy are
@@ -311,13 +307,13 @@ def transfer_attack(source_report: AttackReport, target: Predictor) -> AttackRep
     outcomes = []
     for o in successes:
         assert o.adversarial_text is not None
-        clean = target.predict(o.original_text)
+        clean = target.classify_batch([o.original_text])[0]
         if clean != o.true_label:
             outcomes.append(
                 AttackOutcome(o.instance_index, SKIPPED, 1, o.original_text, o.true_label)
             )
             continue
-        adv_pred = target.predict(o.adversarial_text)
+        adv_pred = target.classify_batch([o.adversarial_text])[0]
         if adv_pred != o.true_label:
             outcomes.append(
                 AttackOutcome(
@@ -336,10 +332,3 @@ def transfer_attack(source_report: AttackReport, target: Predictor) -> AttackRep
             )
     return _build_report(outcomes)
 
-
-def robust_accuracy(report: AttackReport) -> float:
-    """Fraction of instances whose outcome is fail or timeout."""
-    if not report.outcomes:
-        raise ValueError("empty report")
-    robust = sum(1 for o in report.outcomes if o.status in (FAIL, TIMEOUT))
-    return robust / len(report.outcomes)

@@ -11,6 +11,11 @@ bounds:
 Floors are never taken on raw logarithms alone: a final check in exact
 rational arithmetic rejects off-by-one radii at boundary margins, since
 an overstated radius would be a soundness bug.
+
+Deletion draws come from :func:`~delcert.mechanisms.deletion_keep_matrix`.
+:class:`SmoothedPredictor` is the smoothed classifier as a
+:class:`~delcert.classifier.BaseClassifier`, so that it can be attacked
+like any base model.
 """
 
 from __future__ import annotations
@@ -354,26 +359,13 @@ def certify(
 
 
 # ---------------------------------------------------------------------------
-# Deterministic predictors (attack targets)
+# The smoothed classifier as an attack target
 # ---------------------------------------------------------------------------
 
 
-class BasePredictor:
-    """Undefended target: the base classifier queried directly."""
-
-    def __init__(self, model: BaseClassifier):
-        self.model = model
-        self.num_classes = model.num_classes
-
-    def predict_batch(self, texts: Sequence[str]) -> list[int]:
-        return list(self.model.classify_batch(texts))
-
-    def predict(self, text: str) -> int:
-        return self.predict_batch([text])[0]
-
-
 class SmoothedPredictor:
-    """Smoothed target whose randomness is keyed on the query text.
+    """The smoothed classifier as a :class:`~delcert.classifier.BaseClassifier`,
+    its randomness keyed on the query text.
 
     Re-querying the same text under the same stream reproduces the same
     prediction exactly, which is what lets attack successes be replayed.
@@ -401,5 +393,5 @@ class SmoothedPredictor:
         )
         return label
 
-    def predict_batch(self, texts: Sequence[str]) -> list[int]:
+    def classify_batch(self, texts: Sequence[str]) -> list[int]:
         return [self.predict(t) for t in texts]

@@ -8,6 +8,7 @@ fast exact model is what makes exhaustive oracle verification feasible.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Protocol, Sequence, runtime_checkable
@@ -15,7 +16,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .errors import DataFormatError
-from .mechanisms import MechanismParams, perturb
+from .mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix, sample_masking
 from .rng import RandomStream
 from .tokenization import Scheme, split_tokens, tokenize
 
@@ -221,8 +222,9 @@ def train_builtin(
     """Fit the built-in model on mechanism-perturbed copies of the data.
 
     Each training text contributes ``samples_per_instance`` independent
-    perturbed copies; with a zero-rate mechanism and one copy this is
-    exactly clean training.  Deterministic given the stream seed.
+    perturbed copies (under deletion, the rows of one keep matrix); with
+    a zero-rate mechanism and one copy this is exactly clean training.
+    Deterministic given the stream seed.
     """
     if samples_per_instance < 1:
         raise ValueError("samples_per_instance must be >= 1")
@@ -234,25 +236,26 @@ def train_builtin(
     if isinstance(stream, int):
         stream = RandomStream(stream)
 
-    counts: dict[str, np.ndarray] = {}
+    counts = [Counter() for _ in range(data.num_classes)]  # token counts per class
     class_doc_counts = np.zeros(data.num_classes, dtype=np.int64)
     for idx, (text, label) in enumerate(data.items):
         seq = tokenize(text, scheme)
         rng = stream.child(idx).generator()
-        for _ in range(samples_per_instance):
-            perturbed = perturb(seq, mech, rng)
-            for tok in perturbed.tokens:
-                if tok not in counts:
-                    counts[tok] = np.zeros(data.num_classes, dtype=np.int64)
-                counts[tok][label] += 1
-            class_doc_counts[label] += 1
+        if mech.kind is MechanismKind.DELETION:
+            # copies kept per token; a token kept in no copy is never seen
+            kept = deletion_keep_matrix(samples_per_instance, len(seq), mech.rate, rng)
+            for tok, times in zip(seq.tokens, kept.sum(axis=0).tolist()):
+                if times:
+                    counts[label][tok] += times
+        else:
+            for _ in range(samples_per_instance):
+                counts[label].update(sample_masking(seq, mech.rate, mech.mask_token, rng).tokens)
+        class_doc_counts[label] += samples_per_instance
 
-    tokens = tuple(sorted(counts))
-    token_counts = (
-        np.stack([counts[t] for t in tokens])
-        if tokens
-        else np.zeros((0, data.num_classes), dtype=np.int64)
-    )
+    tokens = tuple(sorted(set().union(*counts)))
+    token_counts = np.array(
+        [[c[tok] for c in counts] for tok in tokens], dtype=np.int64
+    ).reshape(len(tokens), data.num_classes)
     return BuiltinModel(
         scheme=scheme,
         num_classes=data.num_classes,

@@ -4,9 +4,11 @@ attack runs, and report emission.
 Datasets are newline-delimited JSON ({"text": ..., "label": ...}) or CSV
 with a text,label header.  Records and curves are emitted as CSV with a
 header; attack reports as JSON.  Every command taking ``--seed`` is
-bit-reproducible.  Flag values override config-file values, which
-override defaults.  Exit codes: 0 success, 2 usage, 3 data error,
-4 guard/scale error.
+bit-reproducible.  Each subcommand takes only the flags it reads
+(``_COMMANDS``).  Flag values override config-file values, which
+override defaults; a config key the command does not read is ignored.
+Exit codes: 0 success, 2 usage (including an invalid option value),
+3 data error, 4 guard/scale error.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import contextlib
 import csv
 import io
 import json
+import math
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import attacks as atk
-from .certify import BasePredictor, SmoothedPredictor, certify
+from .certify import SmoothedPredictor, certify, smoothed_predict
 from .classifier import BuiltinModel, LabeledDataset, train_builtin
 from .edit_metrics import (
     ALL_OPS_SETS,
@@ -84,21 +87,28 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 class _Opts:
-    """Resolves option values with precedence flag > config > default."""
+    """Resolves option values with precedence flag > config > default.
+
+    Config values are parsed and checked like the flag they stand for.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
         self.config = _read_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, key: str, cast=None):
-        v = self.args.get(key)
-        if v is None and key in self.config:
-            v = self.config[key]
-        if v is None:
-            v = DEFAULTS.get(key)
-        if v is None:
-            return None
-        return cast(v) if cast else v
+    def get(self, key: str):
+        if self.args.get(key) is not None:
+            return self.args[key]
+        if key not in self.config:
+            return DEFAULTS.get(key)
+        spec = _FLAGS["--" + key.replace("_", "-")]
+        try:
+            value = spec.get("type", str)(self.config[key])
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"config {key}: {exc}") from None
+        if value not in spec.get("choices", [value]):
+            raise UsageError(f"config {key}: expected one of {spec['choices']}, got {value!r}")
+        return value
 
 
 def load_dataset(path: str) -> LabeledDataset:
@@ -134,7 +144,7 @@ def load_dataset(path: str) -> LabeledDataset:
 
 
 def _mechanism(opts: _Opts) -> MechanismParams:
-    return MechanismParams(MechanismKind(opts.get("mechanism")), opts.get("rate", float))
+    return MechanismParams(MechanismKind(opts.get("mechanism")), opts.get("rate"))
 
 
 @contextlib.contextmanager
@@ -149,7 +159,7 @@ def _classifier(opts: _Opts):
         yield BuiltinModel.load(model_path)
         return
     try:
-        model = ExternalClassifier(external_cmd, num_classes=opts.get("num_classes", int))
+        model = ExternalClassifier(external_cmd, num_classes=opts.get("num_classes"))
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot start --external-cmd {external_cmd!r}: {exc}") from exc
     try:
@@ -164,17 +174,16 @@ def _input_scheme(model, opts: _Opts) -> Scheme:
 
 
 def _make_target(opts: _Opts, model):
-    """The attacked predictor around ``model``."""
+    """The attacked classifier: ``model`` itself, or smoothed around it."""
     if opts.get("target") == "base":
-        return BasePredictor(model)
-    predictor = SmoothedPredictor(
+        return model
+    return SmoothedPredictor(
         model,
         _mechanism(opts),
-        n_samples=opts.get("prediction_samples", int),
-        stream=RandomStream(opts.get("seed", int)),
+        n_samples=opts.get("prediction_samples"),
+        stream=RandomStream(opts.get("seed")),
         scheme=Scheme(opts.get("scheme")),
     )
-    return predictor
 
 
 def _write_text(path: str | None, content: str) -> None:
@@ -196,8 +205,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = train_builtin(
         data,
         _mechanism(opts),
-        samples_per_instance=opts.get("samples_per_instance", int),
-        stream=RandomStream(opts.get("seed", int)),
+        samples_per_instance=opts.get("samples_per_instance"),
+        stream=RandomStream(opts.get("seed")),
         scheme=Scheme(opts.get("scheme")),
     )
     model.save(args.out)
@@ -209,14 +218,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     opts = _Opts(args)
     data = load_dataset(args.data)
     mech = _mechanism(opts)
-    n_pred = opts.get("n_pred", int)
-    stream = RandomStream(opts.get("seed", int))
+    n_pred = opts.get("n_pred")
+    stream = RandomStream(opts.get("seed"))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["instance", "true_label", "predicted"])
     correct = 0
-    from .certify import smoothed_predict
-
     with _classifier(opts) as model:
         scheme = _input_scheme(model, opts)
         for idx, (text, label) in enumerate(data.items):
@@ -229,51 +236,39 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _certify_one(model, mech, opts, idx: int, text: str, label: int, stream: RandomStream):
-    x = tokenize(text, _input_scheme(model, opts))
-    cert = certify(
-        model,
-        x,
-        mech,
-        n_pred=opts.get("n_pred", int),
-        n_cert=opts.get("n_cert", int),
-        alpha=opts.get("alpha", float),
-        stream=stream.child(idx),
-        vocab_size=opts.get("vocab_size", int),
-        bound_mode=opts.get("bound_mode"),
-    )
-    row = [idx, label, cert.predicted, int(cert.abstained)]
-    row += [cert.radius_by_ops[ops] for ops, _ in _OPS_COLUMNS]
-    row += [
-        repr(cert.log10_cardinality_lb),
-        repr(cert.bounds.mu_y),
-        repr(cert.bounds.mu_yprime),
-        opts.get("n_pred", int),
-        opts.get("n_cert", int),
-    ]
-    return row, cert
-
-
 def cmd_certify(args: argparse.Namespace) -> int:
     opts = _Opts(args)
-    data = load_dataset(args.data)
-    mech = _mechanism(opts)
-    stream = RandomStream(opts.get("seed", int))
-    jobs = opts.get("jobs", int)
+    rate = opts.get("rate")
+    if not 0.0 < rate < 1.0:
+        raise UsageError(f"certify needs a rate strictly between 0 and 1, got {rate!r}")
+    mech = MechanismParams(MechanismKind.DELETION, rate)
+    n_pred, n_cert = opts.get("n_pred"), opts.get("n_cert")
+    settings = dict(
+        n_pred=n_pred,
+        n_cert=n_cert,
+        alpha=opts.get("alpha"),
+        vocab_size=opts.get("vocab_size"),
+        bound_mode=opts.get("bound_mode"),
+    )
+    stream = RandomStream(opts.get("seed"))
+    jobs = opts.get("jobs")
     ops_sel = EditOpsSet.from_letters(opts.get("ops"))
+    data = load_dataset(args.data)
 
     with _classifier(opts) as model:
+        scheme = _input_scheme(model, opts)
 
         def one(item):
-            idx, (text, label) = item
-            return _certify_one(model, mech, opts, idx, text, label, stream)
+            idx, (text, _) = item
+            x = tokenize(text, scheme)
+            return certify(model, x, mech, stream=stream.child(idx), **settings)
 
         work = list(enumerate(data.items))
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(one, work))
+                certs = list(pool.map(one, work))
         else:
-            results = [one(w) for w in work]
+            certs = [one(w) for w in work]
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -282,19 +277,23 @@ def cmd_certify(args: argparse.Namespace) -> int:
         + [col for _, col in _OPS_COLUMNS]
         + ["log10_cc_lb", "mu_y", "mu_yprime", "n_pred", "n_cert"]
     )
-    for row, _ in results:
-        writer.writerow(row)
+    for idx, ((_, label), cert) in enumerate(zip(data.items, certs)):
+        writer.writerow(
+            [idx, label, cert.predicted, int(cert.abstained)]
+            + [cert.radius_by_ops[ops] for ops, _ in _OPS_COLUMNS]
+            + [repr(cert.log10_cardinality_lb), repr(cert.bounds.mu_y)]
+            + [repr(cert.bounds.mu_yprime), n_pred, n_cert]
+        )
     _write_text(args.out, buf.getvalue())
 
     sel_col = f"radius_{ops_sel.letters}"
-    radii = [cert.radius_by_ops[ops_sel] for _, cert in results]
-    correct = [int(cert.predicted == label) for (_, label), (_, cert) in zip(data.items, results)]
-    log_ccs = [cert.log10_cardinality_lb for _, cert in results]
-    print(f"instances={len(results)}")
-    print(f"clean_accuracy={sum(correct) / len(results)!r}")
+    radii = [cert.radius_by_ops[ops_sel] for cert in certs]
+    correct = [int(cert.predicted == label) for (_, label), cert in zip(data.items, certs)]
+    print(f"instances={len(certs)}")
+    print(f"clean_accuracy={sum(correct) / len(certs)!r}")
     print(f"median_radius[{sel_col}]={statistics.median(radii)!r}")
-    print(f"median_log10_cc={statistics.median(log_ccs)!r}")
-    print(f"abstained={sum(1 for _, c in results if c.abstained)}")
+    print(f"median_log10_cc={statistics.median(c.log10_cardinality_lb for c in certs)!r}")
+    print(f"abstained={sum(c.abstained for c in certs)}")
     return 0
 
 
@@ -328,15 +327,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_cardinality(args: argparse.Namespace) -> int:
     opts = _Opts(args)
     n = args.length
-    v = opts.get("vocab_size", int)
+    v = opts.get("vocab_size")
     r = args.radius
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["measure", "length", "vocab_size", "radius", "count", "log10"])
 
     def emit(measure: str, count: int) -> None:
-        import math
-
         writer.writerow([measure, n, v, r, count, repr(math.log10(count)) if count else ""])
 
     which = args.which
@@ -355,8 +352,6 @@ def cmd_cardinality(args: argparse.Namespace) -> int:
         exact = lev_ball_cardinality_exact(x, v, r)
         emit("levenshtein_exact", exact)
     if lower is not None and exact is not None:
-        import math
-
         ratio = math.exp(math.log(exact) - math.log(lower))  # safe for huge counts
         writer.writerow(["exact_to_lower_ratio", n, v, r, "", repr(ratio)])
     _write_text(args.out, buf.getvalue())
@@ -408,9 +403,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     data = load_dataset(args.data)
     recipe = atk.AttackRecipe(
         kind=opts.get("recipe"),
-        candidates_per_position=opts.get("candidates_per_position", int),
-        max_queries=opts.get("max_queries", int),
-        timeout_seconds=opts.get("timeout_seconds", float),
+        candidates_per_position=opts.get("candidates_per_position"),
+        max_queries=opts.get("max_queries"),
+        timeout_seconds=opts.get("timeout_seconds"),
     )
     with _classifier(opts) as model:
         target = _make_target(opts, model)
@@ -422,16 +417,16 @@ def cmd_attack(args: argparse.Namespace) -> int:
             lexicon = atk.lexicon_from_dataset(data, scheme=Scheme(opts.get("scheme")))
         report = atk.run_attack(
             target, data, recipe, lexicon, scheme=Scheme(opts.get("scheme")),
-            jobs=opts.get("jobs", int),
+            jobs=opts.get("jobs"),
         )
     meta = {
         "mode": "direct",
         "recipe": asdict(recipe),
-        "seed": opts.get("seed", int),
+        "seed": opts.get("seed"),
         "target": opts.get("target"),
         "mechanism": opts.get("mechanism"),
-        "rate": opts.get("rate", float),
-        "prediction_samples": opts.get("prediction_samples", int),
+        "rate": opts.get("rate"),
+        "prediction_samples": opts.get("prediction_samples"),
     }
     _write_text(args.out, _report_to_json(report, meta))
     print(f"clean_accuracy={report.clean_accuracy!r}")
@@ -461,7 +456,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     meta = {
         "mode": "transfer",
         "source_report": args.source_report,
-        "seed": opts.get("seed", int),
+        "seed": opts.get("seed"),
         "target": opts.get("target"),
     }
     _write_text(args.out, _report_to_json(report, meta))
@@ -476,22 +471,108 @@ def cmd_transfer(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_shared(p: argparse.ArgumentParser, classifier: bool = True) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--mechanism", choices=["deletion", "masking"])
-    p.add_argument("--rate", type=float, help="p_del or p_mask")
-    p.add_argument("--n-pred", dest="n_pred", type=int)
-    p.add_argument("--n-cert", dest="n_cert", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--ops", choices=["dis", "d", "i", "s", "di", "ds", "is"])
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--timeout-seconds", dest="timeout_seconds", type=float)
-    p.add_argument("--max-queries", dest="max_queries", type=int)
-    p.add_argument("--scheme", choices=["whitespace", "character"])
-    if classifier:  # subcommands that query a base classifier
-        p.add_argument("--external-cmd", dest="external_cmd", help="spawn a line-protocol classifier")
-        p.add_argument("--jobs", type=int)
+def _option(cast, ok, expected: str):
+    """An option type: ``cast`` of the value, which must satisfy ``ok``."""
+
+    def parse(value):
+        try:
+            parsed = cast(value)
+            if ok(parsed):
+                return parsed
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+    return parse
+
+
+_COUNT = _option(int, lambda v: v >= 1, "an integer >= 1")
+_NATURAL = _option(int, lambda v: v >= 0, "an integer >= 0")
+
+#: every option of every subcommand, as ``add_argument`` keywords
+_FLAGS: dict[str, dict] = {
+    "--config": dict(help="flat key=value config file"),
+    "--data": {},
+    "--out": dict(default="-"),
+    "--model": {},
+    "--external-cmd": dict(help="spawn a line-protocol classifier"),
+    "--num-classes": dict(type=_option(int, lambda v: v >= 2, "an integer >= 2")),
+    "--scheme": dict(choices=["whitespace", "character"]),
+    "--seed": dict(type=_NATURAL),
+    "--jobs": dict(type=_COUNT),
+    "--mechanism": dict(choices=["deletion", "masking"]),
+    "--rate": dict(type=_option(float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+                   help="p_del or p_mask"),
+    "--samples-per-instance": dict(type=_COUNT),
+    "--n-pred": dict(type=_COUNT),
+    "--n-cert": dict(type=_COUNT),
+    "--alpha": dict(type=_option(float, lambda v: 0 < v < 1, "a number in (0, 1)")),
+    "--ops": dict(choices=["dis", "d", "i", "s", "di", "ds", "is"]),
+    "--vocab-size": dict(type=_COUNT),
+    "--bound-mode": dict(choices=["bonferroni-cp", "complement"]),
+    "--records": dict(help="CSV written by `certify`"),
+    "--thresholds": dict(help="comma-separated log10 thresholds"),
+    "--grid": dict(type=int, help="number of evenly spaced thresholds"),
+    "--length": dict(type=_NATURAL),
+    "--radius": dict(type=_NATURAL),
+    "--which": dict(choices=["hamming", "lower", "exact", "all"], default="all"),
+    "--exact": dict(action="store_true", help="include the automaton exact count"),
+    "--tokens": dict(help="whitespace-separated pattern for the exact count"),
+    "--kind": dict(choices=["deletion", "insertion", "both"], default="deletion"),
+    "--r-r-cap": dict(type=float),
+    "--r-i-cap": dict(type=float, default=0.99),
+    "--d-star": dict(type=float, default=1.0),
+    "--target": dict(choices=["smoothed", "base"]),
+    "--recipe": dict(choices=["greedy_substitute", "greedy_edit", "char_perturb"]),
+    "--candidates-per-position": dict(type=_NATURAL),
+    "--prediction-samples": dict(type=_COUNT),
+    "--max-queries": dict(type=_COUNT),
+    "--timeout-seconds": dict(type=_option(float, lambda v: v > 0, "a number > 0")),
+    "--lexicon": {},
+    "--source-report": {},
+}
+
+_CLASSIFIER = "--model --external-cmd --num-classes --scheme"
+_TARGET = "--target --mechanism --rate --prediction-samples --seed"
+
+#: each subcommand with the flags its ``cmd_*`` reads; a trailing ``!``
+#: marks a required flag
+_COMMANDS = {
+    "train": (
+        cmd_train, "fit the built-in model under smoothing noise",
+        "--data! --out! --config --mechanism --rate --samples-per-instance --seed --scheme",
+    ),
+    "predict": (
+        cmd_predict, "smoothed predictions for a dataset",
+        f"--data! --out --config {_CLASSIFIER} --mechanism --rate --n-pred --seed",
+    ),
+    "certify": (
+        cmd_certify, "certified radii and cardinalities per instance",
+        f"--data! --out --config {_CLASSIFIER} --rate --n-pred --n-cert --alpha --ops"
+        " --vocab-size --bound-mode --seed --jobs",
+    ),
+    "curve": (
+        cmd_curve, "certified accuracy vs log-cardinality threshold",
+        "--records! --thresholds --grid --out",
+    ),
+    "cardinality": (
+        cmd_cardinality, "edit/substitution ball cardinalities",
+        "--length! --radius! --which --exact --tokens --out --config --vocab-size",
+    ),
+    "textcrs": (
+        cmd_textcrs, "edit-radius coverage of reordering-style certificates",
+        "--length! --kind --r-r-cap --r-i-cap --d-star --out",
+    ),
+    "attack": (
+        cmd_attack, "greedy black-box attack under the outcome protocol",
+        f"--data! --out --config {_CLASSIFIER} {_TARGET} --recipe --candidates-per-position"
+        " --max-queries --timeout-seconds --lexicon --jobs",
+    ),
+    "transfer": (
+        cmd_transfer, "replay source successes against a target",
+        f"--source-report! --out --config {_CLASSIFIER} {_TARGET}",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,80 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified edit-distance robustness via randomized token deletion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="fit the built-in model under smoothing noise")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--samples-per-instance", dest="samples_per_instance", type=int)
-    _add_shared(p, classifier=False)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="smoothed predictions for a dataset")
-    p.add_argument("--model")
-    p.add_argument("--num-classes", dest="num_classes", type=int)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default="-")
-    _add_shared(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("certify", help="certified radii and cardinalities per instance")
-    p.add_argument("--model")
-    p.add_argument("--num-classes", dest="num_classes", type=int)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default="-")
-    p.add_argument("--bound-mode", dest="bound_mode", choices=["bonferroni-cp", "complement"])
-    _add_shared(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("curve", help="certified accuracy vs log-cardinality threshold")
-    p.add_argument("--records", required=True, help="CSV written by `certify`")
-    p.add_argument("--thresholds", help="comma-separated log10 thresholds")
-    p.add_argument("--grid", type=int, help="number of evenly spaced thresholds")
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("cardinality", help="edit/substitution ball cardinalities")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--which", choices=["hamming", "lower", "exact", "all"], default="all")
-    p.add_argument("--exact", action="store_true", help="include the automaton exact count")
-    p.add_argument("--tokens", help="whitespace-separated pattern for the exact count")
-    p.add_argument("--out", default="-")
-    _add_shared(p, classifier=False)
-    p.set_defaults(func=cmd_cardinality)
-
-    p = sub.add_parser("textcrs", help="edit-radius coverage of reordering-style certificates")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--kind", choices=["deletion", "insertion", "both"], default="deletion")
-    p.add_argument("--r-r-cap", dest="r_r_cap", type=float)
-    p.add_argument("--r-i-cap", dest="r_i_cap", type=float, default=0.99)
-    p.add_argument("--d-star", dest="d_star", type=float, default=1.0)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_textcrs)
-
-    p = sub.add_parser("attack", help="greedy black-box attack under the outcome protocol")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model")
-    p.add_argument("--num-classes", dest="num_classes", type=int)
-    p.add_argument("--target", choices=["smoothed", "base"])
-    p.add_argument("--recipe", choices=["greedy_substitute", "greedy_edit", "char_perturb"])
-    p.add_argument("--candidates-per-position", dest="candidates_per_position", type=int)
-    p.add_argument("--prediction-samples", dest="prediction_samples", type=int)
-    p.add_argument("--lexicon")
-    p.add_argument("--out", default="-")
-    _add_shared(p)
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("transfer", help="replay source successes against a target")
-    p.add_argument("--source-report", dest="source_report", required=True)
-    p.add_argument("--model")
-    p.add_argument("--num-classes", dest="num_classes", type=int)
-    p.add_argument("--target", choices=["smoothed", "base"])
-    p.add_argument("--prediction-samples", dest="prediction_samples", type=int)
-    p.add_argument("--out", default="-")
-    _add_shared(p)
-    p.set_defaults(func=cmd_transfer)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            option = flag.rstrip("!")
+            p.add_argument(option, required=flag.endswith("!"), **_FLAGS[option])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -1,10 +1,16 @@
-"""Smoothing noise sources: random token deletion and the masking baseline."""
+"""Smoothing noise sources: random token deletion and the masking baseline.
+
+:func:`deletion_keep_matrix` is the one deletion sampler: certification,
+smoothed prediction and training all draw their deletion patterns from
+it, and :func:`pattern_probability` is their mass.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -29,62 +35,23 @@ class MechanismParams:
             raise ValueError(f"rate must lie in [0, 1], got {self.rate}")
 
 
-@dataclass(frozen=True)
-class DeletionPattern:
-    """Indicator vector over token positions; a set bit means delete."""
-
-    indicators: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.indicators):
-            raise ValueError("indicators must be 0/1")
-
-    @property
-    def n(self) -> int:
-        return len(self.indicators)
-
-    @property
-    def num_deleted(self) -> int:
-        return sum(self.indicators)
-
-
-def sample_deletion_pattern(n: int, p_del: float, rng: np.random.Generator) -> DeletionPattern:
-    """Draw each indicator independently with deletion probability ``p_del``."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    bits = rng.random(n) < p_del
-    return DeletionPattern(tuple(int(b) for b in bits))
-
-
 def deletion_keep_matrix(
     n_samples: int, n: int, p_del: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Batch sampler: row ``i`` is the keep-mask of draw ``i``.
+    """The deletion sampler: row ``i`` is the keep-mask of draw ``i``.
 
-    Consumes the stream in the same order as ``n_samples`` successive
-    :func:`sample_deletion_pattern` calls, so the two paths produce
-    bit-identical patterns (row = ~indicators).
+    Each token is deleted independently with probability ``p_del``.  The
+    rows consume ``rng`` in order, so draw ``i`` equals the ``i``-th of
+    ``n_samples`` successive ``rng.random(n) >= p_del`` draws.
     """
     return ~(rng.random((n_samples, n)) < p_del)
 
 
-def pattern_probability(pattern: DeletionPattern, p_del: float) -> float:
-    """Bernoulli product mass of the pattern; sums to one over all 2^n patterns."""
-    k = pattern.num_deleted
-    return p_del**k * (1.0 - p_del) ** (pattern.n - k)
-
-
-def pattern_probability_exact(pattern: DeletionPattern, p_del: Fraction) -> Fraction:
-    k = pattern.num_deleted
-    return p_del**k * (1 - p_del) ** (pattern.n - k)
-
-
-def apply_deletion(x: TokenSeq, pattern: DeletionPattern) -> TokenSeq:
-    """Drop the flagged tokens, preserving the order of the rest."""
-    if pattern.n != len(x):
-        raise ValueError(f"pattern length {pattern.n} != sequence length {len(x)}")
-    kept = tuple(tok for tok, bit in zip(x.tokens, pattern.indicators) if not bit)
-    return x.replace_tokens(kept)
+def pattern_probability(deleted: Sequence[int], p_del: float | Fraction) -> float | Fraction:
+    """Bernoulli product mass of a pattern of 0/1 deletion indicators; it
+    sums to one over all 2^n patterns, exactly when ``p_del`` is a Fraction."""
+    k = sum(deleted)
+    return p_del**k * (1 - p_del) ** (len(deleted) - k)
 
 
 def sample_masking(
@@ -108,9 +75,3 @@ def sample_masking(
     tokens = tuple(mask_token if i in positions else tok for i, tok in enumerate(x.tokens))
     return x.replace_tokens(tokens)
 
-
-def perturb(x: TokenSeq, mech: MechanismParams, rng: np.random.Generator) -> TokenSeq:
-    """One draw of the configured mechanism."""
-    if mech.kind is MechanismKind.DELETION:
-        return apply_deletion(x, sample_deletion_pattern(len(x), mech.rate, rng))
-    return sample_masking(x, mech.rate, mech.mask_token, rng)

@@ -19,11 +19,9 @@ import numpy as np
 from .classifier import BaseClassifier, classify_texts
 from .edit_metrics import EditOpsSet, FULL_OPS, enumerate_ball
 from .errors import GuardError, SchemeMismatchError
-from .mechanisms import DeletionPattern
 from .tokenization import TokenSeq
 
 _ENUM_MAX_TOKENS = 18
-_EXACT_MAX_TOKENS = 12
 #: most (sequence, deletion pattern) rows gathered at once while scoring
 _BLOCK_ROWS = 1 << 14
 
@@ -46,10 +44,11 @@ class ExactScores:
 
 @dataclass(frozen=True)
 class AlignmentWitness:
-    """Deletion patterns reducing both sequences to a common LCS."""
+    """Deletion patterns (0/1 indicators, 1 = delete) reducing both
+    sequences to a common LCS."""
 
-    eps_star_src: DeletionPattern
-    eps_star_dst: DeletionPattern
+    eps_star_src: tuple[int, ...]
+    eps_star_dst: tuple[int, ...]
     common: TokenSeq
 
 
@@ -132,17 +131,14 @@ def exact_smoothed_scores(
 ) -> ExactScores:
     """Exact smoothed scores by summing the full Bernoulli pattern mass.
 
-    ``method="fraction"`` returns the exact rationals (only offered up to
-    12 tokens); ``method="float"`` rounds each of them to the nearest
-    double.
+    ``method="fraction"`` returns the exact rationals; ``method="float"``
+    rounds each of them to the nearest double.
     """
     n = len(x)
     if n > _ENUM_MAX_TOKENS:
         raise GuardError(f"{n} tokens exceeds the 2^n enumeration guard ({_ENUM_MAX_TOKENS})")
     if method not in ("fraction", "float"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "fraction" and n > _EXACT_MAX_TOKENS:
-        raise GuardError(f"rational mode is limited to {_EXACT_MAX_TOKENS} tokens")
     return _smoothed_scores(model, [x], p_del, exact=method == "fraction")[0]
 
 
@@ -164,14 +160,14 @@ def alignment_witness(a: TokenSeq, b: TokenSeq) -> AlignmentWitness:
                 dp[i, j] = dp[i - 1, j - 1] + 1
             else:
                 dp[i, j] = max(dp[i - 1, j], dp[i, j - 1])
-    keep_a = [1] * n
-    keep_b = [1] * m
+    del_a = [1] * n
+    del_b = [1] * m
     common: list[str] = []
     i, j = n, m
     while i > 0 and j > 0:
         if a.tokens[i - 1] == b.tokens[j - 1] and dp[i, j] == dp[i - 1, j - 1] + 1:
-            keep_a[i - 1] = 0
-            keep_b[j - 1] = 0
+            del_a[i - 1] = 0
+            del_b[j - 1] = 0
             common.append(a.tokens[i - 1])
             i -= 1
             j -= 1
@@ -181,8 +177,8 @@ def alignment_witness(a: TokenSeq, b: TokenSeq) -> AlignmentWitness:
             j -= 1
     common.reverse()
     return AlignmentWitness(
-        eps_star_src=DeletionPattern(tuple(keep_a)),
-        eps_star_dst=DeletionPattern(tuple(keep_b)),
+        eps_star_src=tuple(del_a),
+        eps_star_dst=tuple(del_b),
         common=TokenSeq(tuple(common), a.scheme),
     )
 

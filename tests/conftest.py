@@ -67,8 +67,8 @@ class CountingClassifier:
         return self.inner.classify_batch(texts)
 
 
-class SleepyPredictor:
-    """Deterministic predictor that dawdles; used to force timeouts."""
+class SleepyClassifier:
+    """Deterministic classifier that dawdles on every text; used to force timeouts."""
 
     num_classes = 2
 
@@ -76,12 +76,9 @@ class SleepyPredictor:
         self.inner = inner
         self.delay = delay
 
-    def predict(self, text: str) -> int:
-        time.sleep(self.delay)
-        return self.inner.predict(text)
-
-    def predict_batch(self, texts):
-        return [self.predict(t) for t in texts]
+    def classify_batch(self, texts):
+        time.sleep(self.delay * len(texts))
+        return self.inner.classify_batch(texts)
 
 
 def token_universe(alphabet, max_len):

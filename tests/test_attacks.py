@@ -8,18 +8,18 @@ from delcert.attacks import (
     TIMEOUT,
     AttackOutcome,
     AttackRecipe,
-    AttackReport,
     Lexicon,
     lexicon_from_dataset,
     load_lexicon,
-    robust_accuracy,
+    _build_report,
     run_attack,
     transfer_attack,
 )
-from delcert.certify import BasePredictor
+from delcert.certify import SmoothedPredictor
 from delcert.errors import DataFormatError
+from delcert.mechanisms import MechanismKind, MechanismParams
 
-from conftest import ConstantClassifier, KeywordClassifier, SleepyPredictor
+from conftest import ConstantClassifier, KeywordClassifier, SleepyClassifier
 
 LEX = Lexicon({}, ("zz", "qq", "rr"))
 
@@ -37,7 +37,7 @@ def kw_data(n=6):
 
 def test_constant_classifier_unflippable():
     data = LabeledDataset.from_pairs([("p q", 0), ("r s", 0), ("t u", 1)], 2)
-    report = run_attack(BasePredictor(ConstantClassifier(0)), data, AttackRecipe(), LEX)
+    report = run_attack(ConstantClassifier(0), data, AttackRecipe(), LEX)
     assert report.count(SUCCESS) == 0
     assert report.count(SKIPPED) == 1  # the class-1 instance is misclassified clean
     assert report.robust_accuracy == report.clean_accuracy == 2 / 3
@@ -46,7 +46,7 @@ def test_constant_classifier_unflippable():
 def test_keyword_marker_deleted_with_edit_distance_one():
     data = LabeledDataset.from_pairs([("a w0 w1 w2", 1)], 2)
     report = run_attack(
-        BasePredictor(KeywordClassifier()), data, AttackRecipe(kind="greedy_edit"), LEX
+        KeywordClassifier(), data, AttackRecipe(kind="greedy_edit"), LEX
     )
     out = report.outcomes[0]
     assert out.status == SUCCESS
@@ -57,7 +57,7 @@ def test_keyword_marker_deleted_with_edit_distance_one():
 def test_budget_one_everything_fails():
     data = kw_data(6)
     report = run_attack(
-        BasePredictor(KeywordClassifier()), data, AttackRecipe(max_queries=1), LEX
+        KeywordClassifier(), data, AttackRecipe(max_queries=1), LEX
     )
     for out in report.outcomes:
         assert out.status in (FAIL, SKIPPED)
@@ -68,7 +68,7 @@ def test_queries_never_exceed_budget():
     data = kw_data(8)
     for budget in (1, 3, 10):
         report = run_attack(
-            BasePredictor(KeywordClassifier()),
+            KeywordClassifier(),
             data,
             AttackRecipe(kind="greedy_edit", max_queries=budget),
             LEX,
@@ -79,7 +79,7 @@ def test_queries_never_exceed_budget():
 def test_substitute_successes_have_matching_edit_distance():
     # flip class-1 instances by substituting the marker with a novel token
     data = LabeledDataset.from_pairs([("a w0 w1", 1), ("a z0 z1 z2", 1)], 2)
-    report = run_attack(BasePredictor(KeywordClassifier()), data, AttackRecipe(), LEX)
+    report = run_attack(KeywordClassifier(), data, AttackRecipe(), LEX)
     for out in report.outcomes:
         assert out.status == SUCCESS
         d = edit_distance(tokenize(out.adversarial_text), tokenize(out.original_text), FULL_OPS)
@@ -95,7 +95,7 @@ def test_greedy_edit_tries_insertions_when_deletion_fails():
     data = LabeledDataset.from_pairs([("w0 w1 w2", 0)], 2)
     lex = Lexicon({}, ("a", "zz"))
     report = run_attack(
-        BasePredictor(KeywordClassifier("a")), data, AttackRecipe(kind="greedy_edit"), lex
+        KeywordClassifier("a"), data, AttackRecipe(kind="greedy_edit"), lex
     )
     out = report.outcomes[0]
     assert out.status == SUCCESS
@@ -104,7 +104,7 @@ def test_greedy_edit_tries_insertions_when_deletion_fails():
 
 def test_timeout_outcome():
     data = LabeledDataset.from_pairs([("a w0 w1", 1)], 2)
-    slow = SleepyPredictor(BasePredictor(KeywordClassifier()), delay=0.05)
+    slow = SleepyClassifier(KeywordClassifier(), delay=0.05)
     report = run_attack(slow, data, AttackRecipe(timeout_seconds=0.08), LEX)
     assert report.outcomes[0].status == TIMEOUT
 
@@ -112,12 +112,11 @@ def test_timeout_outcome():
 def test_accounting_identity():
     data = kw_data(10)
     report = run_attack(
-        BasePredictor(KeywordClassifier()), data, AttackRecipe(kind="greedy_edit"), LEX
+        KeywordClassifier(), data, AttackRecipe(kind="greedy_edit"), LEX
     )
     counts = {s: report.count(s) for s in (SUCCESS, FAIL, SKIPPED, TIMEOUT)}
     assert sum(counts.values()) == 10
     assert report.robust_accuracy == (counts[FAIL] + counts[TIMEOUT]) / 10
-    assert robust_accuracy(report) == report.robust_accuracy
 
 
 def test_robust_accuracy_definition():
@@ -126,28 +125,27 @@ def test_robust_accuracy_definition():
             i, status, 1, "t", 0, adversarial_text="x" if status == SUCCESS else None
         )
 
-    rep = AttackReport(
-        (out(0, SUCCESS), out(1, FAIL), out(2, SKIPPED), out(3, TIMEOUT)), 0.75, 0.5, 1.0
-    )
-    assert robust_accuracy(rep) == 0.5
-    all_skipped = AttackReport((out(0, SKIPPED), out(1, SKIPPED)), 0.0, 0.0, 1.0)
-    assert robust_accuracy(all_skipped) == 0.0
+    rep = _build_report([out(0, SUCCESS), out(1, FAIL), out(2, SKIPPED), out(3, TIMEOUT)])
+    assert rep.robust_accuracy == 0.5
+    assert rep.clean_accuracy == 0.75
+    all_skipped = _build_report([out(0, SKIPPED), out(1, SKIPPED)])
+    assert all_skipped.robust_accuracy == 0.0
     with pytest.raises(ValueError):
-        robust_accuracy(AttackReport((), 0.0, 0.0, 0.0))
+        _build_report([])
 
 
 def test_success_replays_against_same_target():
     data = kw_data(8)
-    target = BasePredictor(KeywordClassifier())
+    target = KeywordClassifier()
     report = run_attack(target, data, AttackRecipe(kind="greedy_edit"), LEX)
     for out in report.outcomes:
         if out.status == SUCCESS:
-            assert target.predict(out.adversarial_text) != out.true_label
+            assert target.classify_batch([out.adversarial_text]) != [out.true_label]
 
 
 def test_transfer_to_same_target_robust_zero():
     data = kw_data(8)
-    target = BasePredictor(KeywordClassifier())
+    target = KeywordClassifier()
     source = run_attack(target, data, AttackRecipe(kind="greedy_edit"), LEX)
     assert source.count(SUCCESS) > 0
     transferred = transfer_attack(source, target)
@@ -161,23 +159,23 @@ def test_transfer_to_same_target_robust_zero():
 def test_transfer_to_agreeing_constant_target():
     # all transferred instances are class 1; a constant-1 target resists every replay
     data = LabeledDataset.from_pairs([("a w0 w1", 1), ("a z0 z1", 1)], 2)
-    source = run_attack(BasePredictor(KeywordClassifier()), data, AttackRecipe(kind="greedy_edit"), LEX)
+    source = run_attack(KeywordClassifier(), data, AttackRecipe(kind="greedy_edit"), LEX)
     assert source.count(SUCCESS) == 2
-    transferred = transfer_attack(source, BasePredictor(ConstantClassifier(1)))
+    transferred = transfer_attack(source, ConstantClassifier(1))
     assert transferred.robust_accuracy == 1.0
     assert transferred.clean_accuracy == 1.0
 
 
 def test_transfer_requires_successes():
     data = LabeledDataset.from_pairs([("p q", 0)], 2)
-    source = run_attack(BasePredictor(ConstantClassifier(0)), data, AttackRecipe(), LEX)
+    source = run_attack(ConstantClassifier(0), data, AttackRecipe(), LEX)
     with pytest.raises(ValueError):
-        transfer_attack(source, BasePredictor(ConstantClassifier(0)))
+        transfer_attack(source, ConstantClassifier(0))
 
 
 def test_parallel_outcomes_match_serial():
     data = kw_data(12)
-    target = BasePredictor(KeywordClassifier())
+    target = KeywordClassifier()
     recipe = AttackRecipe(kind="greedy_edit")
     serial = run_attack(target, data, recipe, LEX, jobs=1)
     parallel = run_attack(target, data, recipe, LEX, jobs=4)
@@ -188,7 +186,7 @@ def test_char_perturb_variants():
     # keyword rule on exact token: any character edit of the marker flips
     data = LabeledDataset.from_pairs([("ab w0 w1", 1)], 2)
     report = run_attack(
-        BasePredictor(KeywordClassifier("ab")), data, AttackRecipe(kind="char_perturb"), LEX
+        KeywordClassifier("ab"), data, AttackRecipe(kind="char_perturb"), LEX
     )
     assert report.outcomes[0].status == SUCCESS
 
@@ -218,21 +216,50 @@ def test_default_lexicon_from_dataset():
 def test_transport_errors_are_harness_errors_not_outcomes():
     from delcert.errors import TransportError
 
-    class FlakyPredictor:
+    class FlakyClassifier:
         num_classes = 2
 
-        def predict(self, text):
-            if "broken" in text:
+        def classify_batch(self, texts):
+            if any("broken" in t for t in texts):
                 raise TransportError("connection lost")
-            return 1 if "a" in text.split() else 0
-
-        def predict_batch(self, texts):
-            return [self.predict(t) for t in texts]
+            return [1 if "a" in t.split() else 0 for t in texts]
 
     data = LabeledDataset.from_pairs(
         [("a w0 w1", 1), ("broken a w2", 1), ("p q r", 0)], 2
     )
-    report = run_attack(FlakyPredictor(), data, AttackRecipe(kind="greedy_edit"), LEX)
+    report = run_attack(FlakyClassifier(), data, AttackRecipe(kind="greedy_edit"), LEX)
     assert len(report.outcomes) == 2  # the broken instance is not an outcome
     assert report.harness_errors == ((1, "connection lost"),)
     assert {o.instance_index for o in report.outcomes} == {0, 2}
+
+
+def test_run_attack_accepts_bare_classifier():
+    # nothing but num_classes and classify_batch: no predict, no base class
+    target = KeywordClassifier()
+    assert not hasattr(target, "predict")
+    report = run_attack(target, kw_data(6), AttackRecipe(kind="greedy_edit"), LEX)
+    assert report.count(SUCCESS) == 3 and report.count(FAIL) == 3
+    assert transfer_attack(report, target).robust_accuracy == 0.0
+
+
+def test_smoothed_target_predicts_once_per_query(monkeypatch):
+    calls = []
+    predict = SmoothedPredictor.predict
+
+    def counted(self, text):
+        calls.append(text)
+        return predict(self, text)
+
+    monkeypatch.setattr(SmoothedPredictor, "predict", counted)
+    target = SmoothedPredictor(
+        KeywordClassifier(), MechanismParams(MechanismKind.DELETION, 0.5), n_samples=20,
+        stream=7,
+    )
+    data = kw_data(8)
+    for recipe in (AttackRecipe(kind="greedy_edit"), AttackRecipe(max_queries=3)):
+        for i in range(len(data)):
+            calls.clear()
+            one = LabeledDataset(data.items[i : i + 1], 2)
+            out, = run_attack(target, one, recipe, LEX).outcomes
+            # the clean check plus every charged query
+            assert len(calls) == out.queries_used + 1

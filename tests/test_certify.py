@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +23,6 @@ from delcert import (
 )
 from delcert.certify import (
     UNBOUNDED_RADIUS,
-    BasePredictor,
     SmoothedPredictor,
     clopper_pearson_lower,
     clopper_pearson_upper,
@@ -404,7 +404,7 @@ def test_certified_radius_wrapper():
     assert certified_radius(b, 0.9, FULL_OPS) == 6
 
 
-# -- deterministic predictors ------------------------------------------------
+# -- the smoothed classifier as a target ----------------------------------------
 
 
 def test_smoothed_predictor_keyed_on_text():
@@ -412,11 +412,22 @@ def test_smoothed_predictor_keyed_on_text():
     pred = SmoothedPredictor(kw, DEL50, n_samples=25, stream=RandomStream(3))
     a = [pred.predict("a b c") for _ in range(5)]
     assert len(set(a)) == 1
-    assert pred.predict_batch(["a b c", "b c"]) == [pred.predict("a b c"), pred.predict("b c")]
+    assert pred.classify_batch(["a b c", "b c"]) == [pred.predict("a b c"), pred.predict("b c")]
 
 
-def test_base_predictor_passthrough():
-    kw = KeywordClassifier()
-    pred = BasePredictor(kw)
-    assert pred.predict("a b") == 1
-    assert pred.predict_batch(["b"]) == [0]
+def test_vote_counts_samples_through_module_attribute(monkeypatch):
+    # a benchmark traces the sampler by rebinding certify.deletion_keep_matrix;
+    # the package attribute delcert.certify is the function, not the module
+    module = importlib.import_module("delcert.certify")
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:3])
+        return deletion_keep_matrix(*args)
+
+    monkeypatch.setattr(module, "deletion_keep_matrix", counted)
+    x = tokenize("a b c")
+    rng = RandomStream(1).generator()
+    vote_counts(KeywordClassifier(), x, DEL50, 30, rng)
+    certify(KeywordClassifier(), x, DEL50, 20, 40, 0.05, RandomStream(2))
+    assert calls == [(30, 3, 0.5), (20, 3, 0.5), (40, 3, 0.5)]

@@ -3,7 +3,7 @@ import pytest
 
 from delcert import LabeledDataset, train_builtin
 from delcert.classifier import BuiltinModel
-from delcert.mechanisms import MechanismKind, MechanismParams
+from delcert.mechanisms import MechanismKind, MechanismParams, sample_masking
 from delcert.rng import RandomStream
 from delcert.tokenization import Scheme, tokenize
 
@@ -40,6 +40,50 @@ def test_rate_zero_equals_clean_training():
     assert noisy_off.tokens == masked_off.tokens
     assert np.array_equal(noisy_off.token_counts, masked_off.token_counts)
     assert np.array_equal(noisy_off.class_doc_counts, masked_off.class_doc_counts)
+
+
+def _train_per_copy(data, mech, samples_per_instance, seed, scheme):
+    """Reference trainer: draws and counts one perturbed copy at a time."""
+    counts: dict[str, list[int]] = {}
+    docs = [0] * data.num_classes
+    for idx, (text, label) in enumerate(data.items):
+        seq = tokenize(text, scheme)
+        rng = RandomStream(seed).child(idx).generator()
+        for _ in range(samples_per_instance):
+            if mech.kind is MechanismKind.DELETION:
+                deleted = rng.random(len(seq)) < mech.rate
+                kept = [tok for tok, d in zip(seq.tokens, deleted) if not d]
+            else:
+                kept = sample_masking(seq, mech.rate, mech.mask_token, rng).tokens
+            for tok in kept:
+                counts.setdefault(tok, [0] * data.num_classes)[label] += 1
+            docs[label] += 1
+    tokens = tuple(sorted(counts))
+    return BuiltinModel(
+        scheme=scheme,
+        num_classes=data.num_classes,
+        class_doc_counts=np.array(docs),
+        tokens=tokens,
+        token_counts=np.array([counts[t] for t in tokens], dtype=np.int64).reshape(
+            len(tokens), data.num_classes
+        ),
+    )
+
+
+@pytest.mark.parametrize("scheme", [Scheme.WHITESPACE, Scheme.CHARACTER])
+def test_training_matches_per_copy_reference(scheme):
+    # shared tokens plus one token of each text's own; "" has no tokens at all
+    pairs = [(f"w{i % 3} x{i % 2} u{i} w{i % 3}", i % 3) for i in range(12)] + [("", 1)]
+    data = LabeledDataset.from_pairs(pairs, 3)
+    mechs = [MechanismParams(MechanismKind.DELETION, p) for p in (0.0, 0.5, 0.9, 1.0)]
+    mechs += [MechanismParams(MechanismKind.MASKING, p) for p in (0.3, 1.0)]
+    for mech in mechs:
+        for copies in (1, 3):
+            model = train_builtin(data, mech, copies, RandomStream(5), scheme)
+            assert model.to_json() == _train_per_copy(data, mech, copies, 5, scheme).to_json()
+    # at p 0.9 some text's own token is deleted from every copy and never seen
+    model = train_builtin(data, mechs[2], 3, RandomStream(5), Scheme.WHITESPACE)
+    assert {f"u{i}" for i in range(12)} - set(model.tokens)
 
 
 def test_training_is_deterministic():

@@ -470,3 +470,69 @@ def test_attack_budget_one_all_fail_or_skip(trained, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["counts"]["success"] == 0 and payload["counts"]["timeout"] == 0
     assert payload["counts"]["fail"] + payload["counts"]["skipped"] == 40
+
+
+def _exit_code(argv) -> int:
+    """``main``'s return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--rate", "1.0"],
+        ["certify", "--rate", "0"],
+        ["certify", "--mechanism", "masking"],
+        ["certify", "--alpha", "2"],
+        ["certify", "--n-cert", "zero"],
+        ["train", "--rate", "7"],
+        ["train", "--samples-per-instance", "0"],
+        ["predict", "--n-pred", "0"],
+        ["attack", "--max-queries", "0"],
+        ["attack", "--seed", "-1"],
+        ["certify", "--config", "alpha=2"],
+        ["train", "--config", "mechanism=noise"],
+        ["attack", "--config", "timeout_seconds=0"],
+    ],
+)
+def test_invalid_option_value_exit_2(trained, argv, capsys):
+    model_path, test_path, tmp_path = trained
+    command, *rest = argv
+    if rest[0] == "--config":
+        config = tmp_path / "bad.cfg"
+        config.write_text(rest[1] + "\n", encoding="utf-8")
+        rest = ["--config", str(config)]
+    model = [] if command == "train" else ["--model", str(model_path)]
+    out = tmp_path / "out"
+    assert _exit_code([command, "--data", str(test_path), *model, "--out", str(out), *rest]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--data", "d.jsonl", "--jobs", "2"],
+        ["transfer", "--source-report", "r.json", "--jobs", "2"],
+        ["cardinality", "--length", "3", "--radius", "1", "--rate", "0.5"],
+        ["cardinality", "--length", "3", "--radius", "1", "--seed", "1"],
+        ["cardinality", "--length", "3", "--radius", "1", "--max-queries", "5"],
+        ["train", "--data", "d.jsonl", "--out", "m.json", "--n-cert", "10"],
+        ["train", "--data", "d.jsonl", "--out", "m.json", "--alpha", "0.1"],
+        ["attack", "--data", "d.jsonl", "--alpha", "0.1"],
+        ["attack", "--data", "d.jsonl", "--n-pred", "10"],
+        ["certify", "--data", "d.jsonl", "--mechanism", "deletion"],
+        ["certify", "--data", "d.jsonl", "--timeout-seconds", "5"],
+        ["transfer", "--source-report", "r.json", "--max-queries", "5"],
+    ],
+)
+def test_dropped_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -5,68 +5,57 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from delcert import (
-    DeletionPattern,
-    apply_deletion,
-    pattern_probability,
-    sample_deletion_pattern,
-    sample_masking,
-    tokenize,
-)
-from delcert.mechanisms import (
-    MechanismKind,
-    MechanismParams,
-    deletion_keep_matrix,
-    pattern_probability_exact,
-    perturb,
-)
+from delcert import pattern_probability, sample_masking, tokenize
+from delcert.certify import vote_counts
+from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
 from delcert.rng import RandomStream
+
+
+class RecordingClassifier:
+    """Labels everything 0 and keeps every text it was asked about."""
+
+    num_classes = 2
+
+    def __init__(self):
+        self.texts: list[str] = []
+
+    def classify_batch(self, texts):
+        self.texts.extend(texts)
+        return [0] * len(texts)
 
 
 def test_degenerate_rates():
     rng = RandomStream(0).child(0).generator()
-    assert sample_deletion_pattern(6, 0.0, rng).indicators == (0,) * 6
-    assert sample_deletion_pattern(6, 1.0, rng).indicators == (1,) * 6
+    assert deletion_keep_matrix(3, 6, 0.0, rng).all()
+    assert not deletion_keep_matrix(3, 6, 1.0, rng).any()
+    assert deletion_keep_matrix(4, 0, 0.5, rng).shape == (4, 0)
 
 
 def test_pattern_probability_examples():
-    assert pattern_probability(DeletionPattern((0, 0, 0)), 0.5) == pytest.approx(0.125)
-    assert pattern_probability(DeletionPattern((1, 1)), 1.0) == 1.0
-    total = sum(
-        pattern_probability(DeletionPattern(bits), 0.9)
-        for bits in itertools.product((0, 1), repeat=4)
-    )
+    assert pattern_probability((0, 0, 0), 0.5) == pytest.approx(0.125)
+    assert pattern_probability((1, 1), 1.0) == 1.0
+    assert pattern_probability((1, 0), 0.9) == pytest.approx(0.09)
+    total = sum(pattern_probability(bits, 0.9) for bits in itertools.product((0, 1), repeat=4))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pattern_probability_exact_sums_to_one():
+def test_pattern_probability_fraction_sums_to_one():
     p = Fraction(9, 10)
-    total = sum(
-        pattern_probability_exact(DeletionPattern(bits), p)
-        for bits in itertools.product((0, 1), repeat=5)
-    )
-    assert total == 1
-
-
-def test_apply_deletion():
-    x = tokenize("certified edit distance")
-    assert apply_deletion(x, DeletionPattern((0, 1, 0))).tokens == ("certified", "distance")
-    assert apply_deletion(x, DeletionPattern((0, 0, 0))) == x
-    assert apply_deletion(x, DeletionPattern((1, 1, 1))).tokens == ()
-
-
-def test_apply_deletion_length_mismatch():
-    with pytest.raises(ValueError):
-        apply_deletion(tokenize("a b"), DeletionPattern((1,)))
+    masses = [pattern_probability(bits, p) for bits in itertools.product((0, 1), repeat=5)]
+    assert all(isinstance(m, Fraction) for m in masses)
+    assert sum(masses) == 1
 
 
 def test_deletion_output_is_subsequence():
-    rng = RandomStream(3).child(0).generator()
+    # every text the classifier sees is a subsequence of the input
     x = tokenize("t0 t1 t2 t3 t4 t5 t6 t7")
-    for _ in range(200):
-        out = apply_deletion(x, sample_deletion_pattern(len(x), 0.5, rng))
+    recorder = RecordingClassifier()
+    mech = MechanismParams(MechanismKind.DELETION, 0.5)
+    vote_counts(recorder, x, mech, 200, RandomStream(3).child(0).generator())
+    assert len(recorder.texts) > 50
+    for text in recorder.texts:
         it = iter(x.tokens)
-        assert all(tok in it for tok in out.tokens)
+        assert all(tok in it for tok in text.split())
 
 
 def test_deletion_chi_square_against_mass():
@@ -75,12 +64,7 @@ def test_deletion_chi_square_against_mass():
     idx = (~keep).astype(int) @ (1 << np.arange(4))
     observed = np.bincount(idx, minlength=16)
     expected = np.array(
-        [
-            pattern_probability(
-                DeletionPattern(tuple((i >> b) & 1 for b in range(4))), 0.9
-            )
-            for i in range(16)
-        ]
+        [pattern_probability([(i >> b) & 1 for b in range(4)], 0.9) for i in range(16)]
     ) * 100_000
     assert chisquare(observed, expected).pvalue > 0.01
 
@@ -96,16 +80,17 @@ def test_expected_kept_length():
 def test_batch_matches_sequential_draws():
     g1 = RandomStream(7).child(3).generator()
     g2 = RandomStream(7).child(3).generator()
-    singles = [sample_deletion_pattern(5, 0.4, g1) for _ in range(16)]
+    singles = [g1.random(5) < 0.4 for _ in range(16)]  # deletion indicators, one draw each
     keep = deletion_keep_matrix(16, 5, 0.4, g2)
-    for i, pat in enumerate(singles):
-        assert tuple(1 - int(k) for k in keep[i]) == pat.indicators
+    for i, deleted in enumerate(singles):
+        assert (keep[i] == ~deleted).all()
+    assert g1.random() == g2.random()  # both consumed the stream equally
 
 
 def test_equal_seeds_equal_patterns():
-    a = sample_deletion_pattern(64, 0.7, RandomStream(9).child(1, 2).generator())
-    b = sample_deletion_pattern(64, 0.7, RandomStream(9).child(1, 2).generator())
-    assert a == b
+    a = deletion_keep_matrix(3, 64, 0.7, RandomStream(9).child(1, 2).generator())
+    b = deletion_keep_matrix(3, 64, 0.7, RandomStream(9).child(1, 2).generator())
+    assert (a == b).all()
 
 
 def test_masking_degenerate_rates():
@@ -140,12 +125,13 @@ def test_masking_uniform_subsets():
 
 
 def test_perturb_dispatch():
+    # at rate 1 each mechanism perturbs every token its own way
     x = tokenize("a b c")
-    rng = RandomStream(5).child(0).generator()
-    out = perturb(x, MechanismParams(MechanismKind.MASKING, 1.0), rng)
-    assert out.tokens == ("[MASK]",) * 3
-    out = perturb(x, MechanismParams(MechanismKind.DELETION, 1.0), rng)
-    assert out.tokens == ()
+    cases = ((MechanismKind.MASKING, "[MASK] [MASK] [MASK]"), (MechanismKind.DELETION, ""))
+    for kind, expected in cases:
+        recorder = RecordingClassifier()
+        vote_counts(recorder, x, MechanismParams(kind, 1.0), 5, RandomStream(5).generator())
+        assert recorder.texts == [expected]
 
 
 def test_rate_validation():
