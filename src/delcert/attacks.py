@@ -8,9 +8,10 @@ wall-clock timeout fires.  Outcomes use the four-way taxonomy
 success / fail / skipped / timeout; robust accuracy is the fraction of
 fail-or-timeout instances.
 
-A target is any :class:`~delcert.classifier.BaseClassifier`, queried one
-text at a time: a base model itself, or the smoothed classifier through
-:class:`~delcert.certify.SmoothedPredictor`.
+A target is any :class:`~delcert.classifier.BaseClassifier`: a base
+model itself, or the smoothed classifier through
+:class:`~delcert.certify.SmoothedPredictor`.  The leave-one-out texts of
+an instance go to it in one call; every later trial text is one call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 from .classifier import BaseClassifier, LabeledDataset
 from .edit_metrics import FULL_OPS, edit_distance
 from .errors import DataFormatError, TransportError
-from .tokenization import Scheme, detokenize, tokenize
+from .tokenization import Scheme, tokenize
 
 SUCCESS = "success"
 FAIL = "fail"
@@ -158,13 +159,23 @@ class _QueryBudget:
         self.used = 0
         self.t0 = time.monotonic()
 
-    def query(self, text: str) -> int:
+    def query(self, texts: list[str]) -> list[int]:
+        """Charge ``texts`` and classify them in one call.
+
+        The wall clock is checked once, before the call.  When the budget
+        covers only the first k texts, those k are classified and charged
+        before halting with ``FAIL``, as k single queries and one more would.
+        """
+        if not texts:
+            return []
         if time.monotonic() - self.t0 > self.recipe.timeout_seconds:
             raise _Halt(TIMEOUT)
-        if self.used >= self.recipe.max_queries:
+        k = min(len(texts), self.recipe.max_queries - self.used)
+        self.used += k
+        labels = self.target.classify_batch(texts[:k]) if k else []
+        if k < len(texts):
             raise _Halt(FAIL)
-        self.used += 1
-        return self.target.classify_batch([text])[0]
+        return labels
 
 
 def _perturbations(kind: str, token: str, lexicon: Lexicon, k: int) -> list[tuple[str, str | None]]:
@@ -192,15 +203,15 @@ def _attack_instance(
         return replace(base, status=SKIPPED)
 
     original = tokenize(text, scheme)
+    tokens = original.tokens
+    join = original.scheme.separator.join
     # entries are (original_position | None, token); None marks an insertion
-    current: list[tuple[int | None, str]] = list(enumerate(original.tokens))
+    current: list[tuple[int | None, str]] = list(enumerate(tokens))
     try:
-        flip_rank: list[tuple[int, int]] = []
-        for pos in range(len(original)):
-            reduced = [t for p, t in current if p != pos]
-            pred = budget.query(detokenize(original.replace_tokens(reduced)))
-            flip_rank.append((0 if pred != label else 1, pos))
-        flip_rank.sort()
+        # leave-one-out ranking: every position's text in one call
+        reduced = [join(tokens[:pos] + tokens[pos + 1 :]) for pos in range(len(tokens))]
+        preds = budget.query(reduced)
+        flip_rank = sorted((0 if pred != label else 1, pos) for pos, pred in enumerate(preds))
 
         for _, pos in flip_rank:
             slot = next((s for s, (p, _) in enumerate(current) if p == pos), None)
@@ -217,8 +228,8 @@ def _attack_instance(
                     trial[slot] = (pos, value)
                 else:  # insertion before the ranked position
                     trial.insert(slot, (None, value))
-                adv_text = detokenize(original.replace_tokens([t for _, t in trial]))
-                pred = budget.query(adv_text)
+                adv_text = join([t for _, t in trial])
+                pred = budget.query([adv_text])[0]
                 if pred != label:
                     dist = edit_distance(tokenize(adv_text, scheme), original, FULL_OPS)
                     return replace(

@@ -20,6 +20,7 @@ like any base model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,9 @@ UNBOUNDED_RADIUS = 10**6
 # independent for the confidence argument to hold
 _PRED_STREAM = 0
 _CERT_STREAM = 1
+
+#: distinct texts whose labels a :class:`SmoothedPredictor` keeps
+_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -369,6 +373,12 @@ class SmoothedPredictor:
 
     Re-querying the same text under the same stream reproduces the same
     prediction exactly, which is what lets attack successes be replayed.
+    So the labels of the 1,024 most recently queried distinct texts are
+    memoized: an attack re-sends many texts it built a few queries
+    earlier, and a repeat is answered without sampling.  The memo is exact
+    only because the configuration (model, mechanism, sample count,
+    stream, scheme) is fixed after construction; build a new predictor to
+    change any of it.
     """
 
     def __init__(
@@ -385,13 +395,17 @@ class SmoothedPredictor:
         self.stream = RandomStream(stream) if isinstance(stream, int) else stream
         self.scheme = scheme or getattr(model, "scheme", Scheme.WHITESPACE)
         self.num_classes = model.num_classes
+        self._memo = functools.lru_cache(maxsize=_MEMO_SIZE)(self._smoothed_label)
 
-    def predict(self, text: str) -> int:
+    def _smoothed_label(self, text: str) -> int:
         rng = self.stream.child(text_fingerprint(text)).generator()
         label, _ = smoothed_predict(
             self.model, tokenize(text, self.scheme), self.mech, self.n_samples, rng
         )
         return label
+
+    def predict(self, text: str) -> int:
+        return self._memo(text)
 
     def classify_batch(self, texts: Sequence[str]) -> list[int]:
         return [self.predict(t) for t in texts]

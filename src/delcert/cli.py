@@ -309,7 +309,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     correct = [r["predicted"] == r["true_label"] and r["abstained"] == "0" for r in rows]
     log_cc = [float(r["log10_cc_lb"]) for r in rows]
     if args.thresholds:
-        thresholds = [float(t) for t in args.thresholds.split(",")]
+        thresholds = args.thresholds
     else:
         top = max(log_cc)
         count = args.grid or 21
@@ -360,6 +360,8 @@ def cmd_cardinality(args: argparse.Namespace) -> int:
 
 def cmd_textcrs(args: argparse.Namespace) -> int:
     n = args.length
+    if n < 1:
+        raise UsageError(f"textcrs needs --length >= 1, got {n}")
     kind = args.kind
     r_R_cap = args.r_r_cap if args.r_r_cap is not None else float(n)
     buf = io.StringIO()
@@ -488,6 +490,7 @@ def _option(cast, ok, expected: str):
 
 _COUNT = _option(int, lambda v: v >= 1, "an integer >= 1")
 _NATURAL = _option(int, lambda v: v >= 0, "an integer >= 0")
+_FINITE_NONNEG = _option(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 #: every option of every subcommand, as ``add_argument`` keywords
 _FLAGS: dict[str, dict] = {
@@ -511,7 +514,11 @@ _FLAGS: dict[str, dict] = {
     "--vocab-size": dict(type=_COUNT),
     "--bound-mode": dict(choices=["bonferroni-cp", "complement"]),
     "--records": dict(help="CSV written by `certify`"),
-    "--thresholds": dict(help="comma-separated log10 thresholds"),
+    "--thresholds": dict(
+        type=_option(lambda v: [float(t) for t in v.split(",")],
+                     lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers"),
+        help="comma-separated log10 thresholds",
+    ),
     "--grid": dict(type=int, help="number of evenly spaced thresholds"),
     "--length": dict(type=_NATURAL),
     "--radius": dict(type=_NATURAL),
@@ -519,9 +526,10 @@ _FLAGS: dict[str, dict] = {
     "--exact": dict(action="store_true", help="include the automaton exact count"),
     "--tokens": dict(help="whitespace-separated pattern for the exact count"),
     "--kind": dict(choices=["deletion", "insertion", "both"], default="deletion"),
-    "--r-r-cap": dict(type=float),
-    "--r-i-cap": dict(type=float, default=0.99),
-    "--d-star": dict(type=float, default=1.0),
+    "--r-r-cap": dict(type=_FINITE_NONNEG),
+    "--r-i-cap": dict(type=_FINITE_NONNEG, default=0.99),
+    "--d-star": dict(type=_option(float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+                     default=1.0),
     "--target": dict(choices=["smoothed", "base"]),
     "--recipe": dict(choices=["greedy_substitute", "greedy_edit", "char_perturb"]),
     "--candidates-per-position": dict(type=_NATURAL),

@@ -81,8 +81,8 @@ def max_certified_edit_radius(
         raise ValueError("caps must be non-negative")
     ins_limit: Fraction | None = None
     if kind == "insertion":
-        if r_I_cap is None or d_star is None or d_star <= 0:
-            raise ValueError("insertion kind needs r_I_cap and positive d_star")
+        if r_I_cap is None or d_star is None or r_I_cap < 0 or d_star <= 0:
+            raise ValueError("insertion kind needs a non-negative r_I_cap and a positive d_star")
         ins_limit = Fraction(r_I_cap) ** 2 / Fraction(d_star) ** 2
 
     best = 0

@@ -32,7 +32,7 @@ class TokenSeq:
     def __post_init__(self) -> None:
         if not isinstance(self.tokens, tuple):
             object.__setattr__(self, "tokens", tuple(self.tokens))
-        if self.scheme is Scheme.WHITESPACE and any(t == "" for t in self.tokens):
+        if self.scheme is Scheme.WHITESPACE and "" in self.tokens:
             raise ValueError("whitespace-scheme tokens must be non-empty")
 
     def __len__(self) -> int:

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from delcert import (
     ALL_OPS_SETS,
     FULL_OPS,
     EditOpsSet,
+    LabeledDataset,
     ScoreEstimate,
     certified_radius,
     certify,
@@ -21,6 +23,7 @@ from delcert import (
     tokenize,
     train_builtin,
 )
+from delcert.attacks import AttackRecipe, Lexicon, run_attack
 from delcert.certify import (
     UNBOUNDED_RADIUS,
     SmoothedPredictor,
@@ -431,3 +434,55 @@ def test_vote_counts_samples_through_module_attribute(monkeypatch):
     vote_counts(KeywordClassifier(), x, DEL50, 30, rng)
     certify(KeywordClassifier(), x, DEL50, 20, 40, 0.05, RandomStream(2))
     assert calls == [(30, 3, 0.5), (20, 3, 0.5), (40, 3, 0.5)]
+
+
+def _keyword_predictor():
+    return SmoothedPredictor(KeywordClassifier(), DEL50, n_samples=25, stream=RandomStream(3))
+
+
+def test_smoothed_predictor_memo_matches_fresh_predictors():
+    texts = ["a a a b", "b c", "a b c", "b c", "c a", "a a a b", "a", "c a", "b", "a b c"]
+    pred = _keyword_predictor()
+    labels = [pred.predict(t) for t in texts]
+    assert labels == [_keyword_predictor().predict(t) for t in texts]
+    assert set(labels) == {0, 1}
+
+
+def test_smoothed_predictor_memo_computes_each_text_once_until_evicted(monkeypatch):
+    module = importlib.import_module("delcert.certify")
+    computed = []
+
+    def counted(model, x, *rest):
+        computed.append(detokenize(x))
+        return smoothed_predict(model, x, *rest)
+
+    monkeypatch.setattr(module, "smoothed_predict", counted)
+    pred = SmoothedPredictor(ConstantClassifier(1), DEL50, n_samples=1)
+    texts = [f"t{i}" for i in range(1024)]
+    for t in texts + texts:
+        assert pred.predict(t) == 1
+    assert computed == texts  # 1,024 distinct texts all stay
+    pred.predict("t1024")  # evicts the least recently queried text, t0
+    pred.predict("t0")  # evicts t1
+    pred.predict("t2")
+    assert computed == texts + ["t1024", "t0"]
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_smoothed_target_attack_parallel_matches_serial(jobs):
+    data = LabeledDataset.from_pairs(
+        [(f"a w{i} x{i}", 1) if i % 2 == 0 else (f"v{i} w{i} x{i}", 0) for i in range(12)], 2
+    )
+    recipe = AttackRecipe(kind="greedy_edit")
+    lexicon = Lexicon({}, ("zz", "qq", "rr"))
+    serial = run_attack(_keyword_predictor(), data, recipe, lexicon, jobs=1)
+    shared = _keyword_predictor()  # one memo for every worker thread
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_attack(shared, data, recipe, lexicon, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel.outcomes == serial.outcomes
+    texts = [o.adversarial_text or o.original_text for o in serial.outcomes]
+    assert shared.classify_batch(texts) == _keyword_predictor().classify_batch(texts)

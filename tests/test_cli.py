@@ -231,6 +231,12 @@ def test_cardinality_command(tmp_path, capsys):
     assert "levenshtein_exact,2,2,1,9," in out
     assert "levenshtein_lower_bound,2,2,1,8," in out
 
+    # --length is shared with textcrs, which needs >= 1; the empty sequence stays valid here
+    rc = main(["cardinality", "--length", "0", "--radius", "0", "--vocab-size", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "hamming_exact,0,2,0,1," in out and "levenshtein_lower_bound,0,2,0,1," in out
+
 
 def test_cardinality_guard_exit_4(capsys):
     rc = main(["cardinality", "--length", "4", "--radius", "20", "--which", "exact"])
@@ -508,6 +514,33 @@ def test_invalid_option_value_exit_2(trained, argv, capsys):
     model = [] if command == "train" else ["--model", str(model_path)]
     out = tmp_path / "out"
     assert _exit_code([command, "--data", str(test_path), *model, "--out", str(out), *rest]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["textcrs", "--length", "0"],
+        ["textcrs", "--length", "3", "--r-r-cap", "-1"],
+        ["textcrs", "--length", "3", "--r-r-cap", "inf"],
+        ["textcrs", "--length", "3", "--r-i-cap", "-1"],
+        ["textcrs", "--length", "3", "--kind", "both", "--r-i-cap", "nan"],
+        ["textcrs", "--length", "3", "--kind", "insertion", "--d-star", "-1"],
+        ["textcrs", "--length", "3", "--kind", "insertion", "--d-star", "0"],
+        ["curve", "--thresholds", "abc"],
+        ["curve", "--thresholds", "0,inf"],
+    ],
+)
+def test_textcrs_and_curve_invalid_values_exit_2(tmp_path, argv, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("true_label,predicted,abstained,log10_cc_lb\n1,1,0,2.0\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    if argv[0] == "curve":
+        argv = [*argv, "--records", str(records)]
+    assert _exit_code([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1

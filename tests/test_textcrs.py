@@ -81,3 +81,6 @@ def test_input_validation():
         max_certified_edit_radius(3, "permutation", r_R_cap=3)
     with pytest.raises(ValueError):
         max_certified_edit_radius(3, "insertion", r_R_cap=3)  # missing L2 budget
+    with pytest.raises(ValueError):
+        # a negative L2 budget certifies nothing, though its square is positive
+        max_certified_edit_radius(10, "insertion", r_R_cap=100, r_I_cap=-1.0, d_star=1.0)

@@ -42,8 +42,10 @@ def test_round_trip_on_normalized_text():
 
 
 def test_empty_token_rejected_for_whitespace():
-    with pytest.raises(ValueError):
-        TokenSeq(("a", ""), Scheme.WHITESPACE)
+    for tokens in (("a", ""), ("",), ("a", "", "b"), ["", "a"]):
+        with pytest.raises(ValueError):
+            TokenSeq(tokens, Scheme.WHITESPACE)
+        assert TokenSeq(tokens, Scheme.CHARACTER).tokens == tuple(tokens)
 
 
 @given(st.text(alphabet="ab \t\n", max_size=30))
