@@ -8,10 +8,9 @@ wall-clock timeout fires.  Outcomes use the four-way taxonomy
 success / fail / skipped / timeout; robust accuracy is the fraction of
 fail-or-timeout instances.
 
-A target is any :class:`~delcert.classifier.BaseClassifier`: a base
-model itself, or the smoothed classifier through
-:class:`~delcert.certify.SmoothedPredictor`.  The leave-one-out texts of
-an instance go to it in one call; every later trial text is one call.
+A target is any :class:`~delcert.classifier.BaseClassifier`, queried one
+text at a time: a base model itself, or the smoothed classifier through
+:class:`~delcert.certify.SmoothedPredictor`.
 """
 
 from __future__ import annotations
@@ -159,23 +158,13 @@ class _QueryBudget:
         self.used = 0
         self.t0 = time.monotonic()
 
-    def query(self, texts: list[str]) -> list[int]:
-        """Charge ``texts`` and classify them in one call.
-
-        The wall clock is checked once, before the call.  When the budget
-        covers only the first k texts, those k are classified and charged
-        before halting with ``FAIL``, as k single queries and one more would.
-        """
-        if not texts:
-            return []
+    def query(self, text: str) -> int:
         if time.monotonic() - self.t0 > self.recipe.timeout_seconds:
             raise _Halt(TIMEOUT)
-        k = min(len(texts), self.recipe.max_queries - self.used)
-        self.used += k
-        labels = self.target.classify_batch(texts[:k]) if k else []
-        if k < len(texts):
+        if self.used >= self.recipe.max_queries:
             raise _Halt(FAIL)
-        return labels
+        self.used += 1
+        return self.target.classify_batch([text])[0]
 
 
 def _perturbations(kind: str, token: str, lexicon: Lexicon, k: int) -> list[tuple[str, str | None]]:
@@ -208,10 +197,11 @@ def _attack_instance(
     # entries are (original_position | None, token); None marks an insertion
     current: list[tuple[int | None, str]] = list(enumerate(tokens))
     try:
-        # leave-one-out ranking: every position's text in one call
-        reduced = [join(tokens[:pos] + tokens[pos + 1 :]) for pos in range(len(tokens))]
-        preds = budget.query(reduced)
-        flip_rank = sorted((0 if pred != label else 1, pos) for pos, pred in enumerate(preds))
+        flip_rank: list[tuple[int, int]] = []
+        for pos in range(len(tokens)):
+            pred = budget.query(join(tokens[:pos] + tokens[pos + 1 :]))
+            flip_rank.append((0 if pred != label else 1, pos))
+        flip_rank.sort()
 
         for _, pos in flip_rank:
             slot = next((s for s, (p, _) in enumerate(current) if p == pos), None)
@@ -229,7 +219,7 @@ def _attack_instance(
                 else:  # insertion before the ranked position
                     trial.insert(slot, (None, value))
                 adv_text = join([t for _, t in trial])
-                pred = budget.query([adv_text])[0]
+                pred = budget.query(adv_text)
                 if pred != label:
                     dist = edit_distance(tokenize(adv_text, scheme), original, FULL_OPS)
                     return replace(

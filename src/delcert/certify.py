@@ -53,7 +53,10 @@ UNBOUNDED_RADIUS = 10**6
 _PRED_STREAM = 0
 _CERT_STREAM = 1
 
-#: distinct texts whose labels a :class:`SmoothedPredictor` keeps
+#: distinct texts whose labels a :class:`SmoothedPredictor` keeps.  On 100
+#: attack-smoothed instances every greedy_edit repeat came back within 60
+#: queries of its first query, so 64 already kept all of them; 1,024 also
+#: keeps texts that recur across instances (432 more hits; 8,192 added 48).
 _MEMO_SIZE = 1024
 
 
@@ -373,8 +376,8 @@ class SmoothedPredictor:
 
     Re-querying the same text under the same stream reproduces the same
     prediction exactly, which is what lets attack successes be replayed.
-    So the labels of the 1,024 most recently queried distinct texts are
-    memoized: an attack re-sends many texts it built a few queries
+    So the labels of the ``_MEMO_SIZE`` most recently queried distinct
+    texts are memoized: an attack re-sends many texts it built a few queries
     earlier, and a repeat is answered without sampling.  The memo is exact
     only because the configuration (model, mechanism, sample count,
     stream, scheme) is fixed after construction; build a new predictor to

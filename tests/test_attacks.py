@@ -279,46 +279,22 @@ class RecordingClassifier:
         return self.inner.classify_batch(texts)
 
 
-def test_leave_one_out_ranking_is_one_call():
-    target = RecordingClassifier()
-    text = "w0 a w1 w2 w3"
-    data = LabeledDataset.from_pairs([(text, 1)], 2)
-    out, = run_attack(target, data, AttackRecipe(kind="greedy_edit"), LEX).outcomes
-    tokens = text.split()
-    loo = [" ".join(tokens[:p] + tokens[p + 1 :]) for p in range(len(tokens))]
-    assert target.calls[:2] == [[text], loo]  # the clean check, then the ranking
-    assert all(len(call) == 1 for call in target.calls[2:])
-    assert out.queries_used == sum(map(len, target.calls[1:]))
-
-
-def _sequential_ranking(text, max_queries):
-    """The leave-one-out ranking as one charged query per position: the
-    status it halts with (None if it completes), queries used, texts sent."""
-    tokens = text.split()
-    used, sent = 0, []
-    for pos in range(len(tokens)):
-        if used >= max_queries:
-            return FAIL, used, sent
-        used += 1
-        sent.append(" ".join(tokens[:pos] + tokens[pos + 1 :]))
-    return None, used, sent
-
-
 @pytest.mark.parametrize("max_queries", [1, 2, 4])
-def test_budget_below_ranking_size_matches_sequential(max_queries):
+def test_budget_halts_inside_leave_one_out_ranking(max_queries):
     text = "w0 w1 a w2 w3"  # five positions, more than any budget here
     data = LabeledDataset.from_pairs([(text, 1)], 2)
     target = RecordingClassifier()
     out, = run_attack(
         target, data, AttackRecipe(kind="greedy_edit", max_queries=max_queries), LEX
     ).outcomes
-    status, used, sent = _sequential_ranking(text, max_queries)
-    assert (out.status, out.queries_used) == (status, used)
-    assert target.calls == [[text], sent]  # only the texts the budget covers
+    tokens = text.split()
+    loo = [" ".join(tokens[:p] + tokens[p + 1 :]) for p in range(max_queries)]
+    assert (out.status, out.queries_used) == (FAIL, max_queries)
+    assert target.calls == [[text]] + [[t] for t in loo]  # the clean check, then one text per query
 
 
 def test_empty_text_fails_without_a_query():
-    # no positions to rank: no call, so neither the budget nor the clock can halt it
+    # no positions to rank: no query, so neither the budget nor the clock can halt it
     target = RecordingClassifier()
     data = LabeledDataset.from_pairs([("", 0), ("   ", 0)], 2)
     report = run_attack(target, data, AttackRecipe(kind="greedy_edit", timeout_seconds=1e-9), LEX)
