@@ -312,7 +312,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         thresholds = args.thresholds
     else:
         top = max(log_cc)
-        count = args.grid or 21
+        count = args.grid
         thresholds = [top * i / (count - 1) for i in range(count)] if count > 1 else [0.0]
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -339,7 +339,9 @@ def cmd_cardinality(args: argparse.Namespace) -> int:
     which = args.which
     lower = None
     exact = None
-    if which in ("hamming", "all"):
+    if which == "hamming" and r > n:
+        raise UsageError(f"--which hamming needs --radius <= --length, got {r} > {n}")
+    if which == "hamming" or (which == "all" and r <= n):
         emit("hamming_exact", hamming_ball_cardinality(CardinalityParams(n, r, v)))
     if which in ("lower", "all"):
         lower = lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v))
@@ -519,7 +521,7 @@ _FLAGS: dict[str, dict] = {
                      lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers"),
         help="comma-separated log10 thresholds",
     ),
-    "--grid": dict(type=int, help="number of evenly spaced thresholds"),
+    "--grid": dict(type=_COUNT, default=21, help="number of evenly spaced thresholds"),
     "--length": dict(type=_NATURAL),
     "--radius": dict(type=_NATURAL),
     "--which": dict(choices=["hamming", "lower", "exact", "all"], default="all"),

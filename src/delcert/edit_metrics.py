@@ -228,16 +228,32 @@ def lev_ball_cardinality_lower_bound(params: CardinalityParams) -> int:
     token repeated ``n`` times), which is the smallest edit ball among
     length-``n`` sequences.  For a constant sequence the distance to any
     word ``w`` is ``max(n, |w|) - min(n, k)`` with ``k`` occurrences of
-    the repeated token in ``w``, which yields the double sum below.
-    Dominates both :func:`hamming_ball_cardinality` and
-    :func:`supersequence_count` (they appear as the ``m == n`` and
-    ``m == n + r`` terms).
+    the repeated token in ``w``, which yields the double sum
+    ``sum over m in [n - r, n + r] of S(m, J(m))`` with
+    ``S(m, J) = sum_{i <= J} C(m, i) w**i``, ``w = v - 1`` and
+    ``J(m) = min(m, r - max(0, n - m))``.  Dominates both
+    :func:`hamming_ball_cardinality` and :func:`supersequence_count`
+    (they appear as the ``m == n`` and ``m == n + r`` terms).
+
+    The sum takes O(r) big-integer steps along ``m``.  ``J`` starts at 0
+    and grows by 0 or 1 per step.  With ``t = C(m, J) w**J`` the last
+    term, Pascal's rule gives ``S(m + 1, J) = (1 + w) S(m, J) - w t`` and
+    ``t <- t (m + 1) / (m + 1 - J)``; when ``J`` grows, the next term
+    ``t <- t w (m + 1 - J) / (J + 1)`` is added.  Every division is exact.
     """
     n, v, r = params.length, params.vocab_size, params.radius
-    total = 0
-    for m in range(max(0, n - r), n + r + 1):
-        jmax = min(m, m - max(n, m) + r)
-        total += sum(comb(m, j) * (v - 1) ** j for j in range(jmax + 1))
+    w = v - 1
+    s = t = 1  # J = 0 at the first m, so S = t = C(m, 0)
+    j = 0
+    total = s
+    for m in range(max(0, n - r), n + r):
+        s = v * s - w * t
+        t = t * (m + 1) // (m + 1 - j)
+        if min(m + 1, r - max(0, n - m - 1)) > j:  # J(m + 1) == j + 1
+            t = t * w * (m + 1 - j) // (j + 1)
+            j += 1
+            s += t
+        total += s
     return total
 
 

@@ -7,6 +7,7 @@ it, and :func:`pattern_probability` is their mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -17,6 +18,11 @@ import numpy as np
 from .tokenization import TokenSeq
 
 DEFAULT_MASK_TOKEN = "[MASK]"
+
+_TWO_53 = 1 << 53
+#: bits of a 53-bit deletion uniform below its top byte
+_LO_BITS = 45
+_LO_MASK = (1 << _LO_BITS) - 1
 
 
 class MechanismKind(str, Enum):
@@ -40,11 +46,39 @@ def deletion_keep_matrix(
 ) -> np.ndarray:
     """The deletion sampler: row ``i`` is the keep-mask of draw ``i``.
 
-    Each token is deleted independently with probability ``p_del``.  The
-    rows consume ``rng`` in order, so draw ``i`` equals the ``i``-th of
-    ``n_samples`` successive ``rng.random(n) >= p_del`` draws.
+    Each token is deleted independently with probability exactly
+    ``T / 2**53``, ``T = ceil(p_del * 2**53)``: the law of deleting a
+    cell iff a 53-bit uniform ``U`` is below ``T``, which is what
+    ``rng.random() < p_del`` decides.  ``U`` is split into a top byte and
+    a low 45-bit part, drawn separately from ``rng.bit_generator``:
+
+    * the top bytes come eight cells per ``random_raw`` word, byte ``b``
+      (little-endian, whatever the host) of word ``k`` for cell
+      ``8k + b`` in row-major order, and decide every cell whose byte
+      differs from the top byte of ``T``;
+    * a tied cell (1 in 256) takes the top 45 bits of one further word,
+      in row-major order, and is deleted iff they are below ``T``'s low
+      45 bits.
+
+    So a call consumes ``ceil(n_samples * n / 8)`` words plus one per
+    tie.  At ``p_del`` 0 or 1 every cell is decided and nothing is drawn.
     """
-    return ~(rng.random((n_samples, n)) < p_del)
+    t = math.ceil(p_del * _TWO_53)  # exact: scaling by 2**53 rounds nothing
+    if t <= 0:
+        return np.ones((n_samples, n), dtype=bool)
+    if t >= _TWO_53:
+        return np.zeros((n_samples, n), dtype=bool)
+    t_hi = t >> _LO_BITS
+    cells = n_samples * n
+    bits = rng.bit_generator
+    words = bits.random_raw(-(-cells // 8)).astype("<u8", copy=False)
+    hi = words.view(np.uint8)[:cells]
+    keep = hi > t_hi
+    ties = (hi == t_hi).nonzero()[0]
+    if ties.size:
+        # lo >= t_lo  <=>  word >= t_lo << 19, with lo the word's top 45 bits
+        keep[ties] = bits.random_raw(ties.size) >= (t & _LO_MASK) << (64 - _LO_BITS)
+    return keep.reshape(n_samples, n)
 
 
 def pattern_probability(deleted: Sequence[int], p_del: float | Fraction) -> float | Fraction:

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,24 @@ def test_lower_bound_trivia():
     assert lev_ball_cardinality_lower_bound(CardinalityParams(4, 0, 9)) == 1
     lb = lev_ball_cardinality_lower_bound(CardinalityParams(2, 1, 2))
     assert 3 <= lb <= 9  # at least the substitution floor, at most the exact count
+
+
+def _lower_bound_double_sum(n, r, v):
+    """The constant-sequence ball size as the plain double sum over
+    lengths ``m`` and counts ``j`` of non-repeated tokens."""
+    total = 0
+    for m in range(max(0, n - r), n + r + 1):
+        jmax = min(m, m - max(n, m) + r)
+        total += sum(comb(m, j) * (v - 1) ** j for j in range(jmax + 1))
+    return total
+
+
+def test_lower_bound_equals_double_sum():
+    cases = [(n, r, v) for v in (1, 2, 3, 50265) for n in range(31) for r in range(36)]
+    cases += [(120, 68, 50265), (200, 68, 50265)]
+    for n, r, v in cases:
+        lb = lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v))
+        assert lb == _lower_bound_double_sum(n, r, v), (n, r, v)
 
 
 def test_exact_examples():

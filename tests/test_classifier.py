@@ -3,7 +3,12 @@ import pytest
 
 from delcert import LabeledDataset, train_builtin
 from delcert.classifier import BuiltinModel
-from delcert.mechanisms import MechanismKind, MechanismParams, sample_masking
+from delcert.mechanisms import (
+    MechanismKind,
+    MechanismParams,
+    deletion_keep_matrix,
+    sample_masking,
+)
 from delcert.rng import RandomStream
 from delcert.tokenization import Scheme, tokenize
 
@@ -43,16 +48,18 @@ def test_rate_zero_equals_clean_training():
 
 
 def _train_per_copy(data, mech, samples_per_instance, seed, scheme):
-    """Reference trainer: draws and counts one perturbed copy at a time."""
+    """Reference trainer: counts one perturbed copy at a time (under
+    deletion, the copies are the rows of the text's keep matrix)."""
     counts: dict[str, list[int]] = {}
     docs = [0] * data.num_classes
     for idx, (text, label) in enumerate(data.items):
         seq = tokenize(text, scheme)
         rng = RandomStream(seed).child(idx).generator()
-        for _ in range(samples_per_instance):
+        if mech.kind is MechanismKind.DELETION:
+            keep = deletion_keep_matrix(samples_per_instance, len(seq), mech.rate, rng)
+        for copy in range(samples_per_instance):
             if mech.kind is MechanismKind.DELETION:
-                deleted = rng.random(len(seq)) < mech.rate
-                kept = [tok for tok, d in zip(seq.tokens, deleted) if not d]
+                kept = [tok for tok, k in zip(seq.tokens, keep[copy]) if k]
             else:
                 kept = sample_masking(seq, mech.rate, mech.mask_token, rng).tokens
             for tok in kept:

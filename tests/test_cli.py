@@ -238,6 +238,28 @@ def test_cardinality_command(tmp_path, capsys):
     assert "hamming_exact,0,2,0,1," in out and "levenshtein_lower_bound,0,2,0,1," in out
 
 
+def test_cardinality_radius_beyond_length(capsys):
+    # the Hamming ball needs radius <= length: "all" skips its row ...
+    rc = main(["cardinality", "--length", "2", "--radius", "3", "--vocab-size", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "hamming_exact" not in out and "levenshtein_lower_bound,2,2,3," in out
+    # ... and asking for it alone is a usage error
+    argv = ["cardinality", "--length", "2", "--radius", "3", "--which", "hamming"]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def test_curve_default_grid(tmp_path):
+    records = tmp_path / "records.csv"
+    records.write_text("true_label,predicted,abstained,log10_cc_lb\n1,1,0,2.0\n", encoding="utf-8")
+    curve = tmp_path / "curve.csv"
+    assert main(["curve", "--records", str(records), "--out", str(curve)]) == 0
+    assert len(curve.read_text().splitlines()) == 1 + 21
+
+
 def test_cardinality_guard_exit_4(capsys):
     rc = main(["cardinality", "--length", "4", "--radius", "20", "--which", "exact"])
     assert rc == 4
@@ -532,6 +554,8 @@ def test_invalid_option_value_exit_2(trained, argv, capsys):
         ["textcrs", "--length", "3", "--kind", "insertion", "--d-star", "0"],
         ["curve", "--thresholds", "abc"],
         ["curve", "--thresholds", "0,inf"],
+        ["curve", "--grid", "0"],
+        ["curve", "--grid", "-1"],
     ],
 )
 def test_textcrs_and_curve_invalid_values_exit_2(tmp_path, argv, capsys):

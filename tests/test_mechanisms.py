@@ -1,9 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare
 
 from delcert import pattern_probability, sample_masking, tokenize
 from delcert.certify import vote_counts
@@ -77,14 +78,65 @@ def test_expected_kept_length():
     assert abs(mean - 0.4) <= 3 * sigma
 
 
+def _reference_keep(n_samples, n, p_del, bits):
+    """The sampler's contract, decoded one cell at a time with shifts.
+
+    Cell ``c`` takes byte ``c % 8`` (little-endian) of word ``c // 8`` as
+    the top byte ``hi`` of its 53-bit uniform; a tied byte takes the top
+    45 bits of the next further word as the low part ``lo``.  The cell
+    is deleted by the float rule of ``rng.random() < p_del`` applied to
+    ``hi * 2**45 + lo`` (an untied cell is decided by ``hi`` alone).
+    """
+    t = math.ceil(Fraction(p_del) * 2**53)
+    if t in (0, 2**53):
+        return np.full((n_samples, n), t == 0)
+    cells = n_samples * n
+    words = [int(w) for w in bits.random_raw(-(-cells // 8))]
+    keep = []
+    for c in range(cells):
+        hi = (words[c // 8] >> (8 * (c % 8))) & 0xFF
+        lo = int(bits.random_raw()) >> 19 if hi == t >> 45 else 0
+        keep.append(not ((hi << 45) + lo) * 2.0**-53 < p_del)
+    return np.array(keep, dtype=bool).reshape(n_samples, n)
+
+
 def test_batch_matches_sequential_draws():
-    g1 = RandomStream(7).child(3).generator()
-    g2 = RandomStream(7).child(3).generator()
-    singles = [g1.random(5) < 0.4 for _ in range(16)]  # deletion indicators, one draw each
-    keep = deletion_keep_matrix(16, 5, 0.4, g2)
-    for i, deleted in enumerate(singles):
-        assert (keep[i] == ~deleted).all()
-    assert g1.random() == g2.random()  # both consumed the stream equally
+    # the batch equals the reference decoding of the same raw words, and
+    # both leave the generator in the same state
+    for p_del in (0.0, 0.5, 0.9, 0.99, 253.5 / 256, 1.0):
+        for shape in ((16, 5), (3, 7), (1, 1), (40, 33), (100, 61), (0, 4), (4, 0)):
+            g1 = RandomStream(7).child(3).generator()
+            g2 = RandomStream(7).child(3).generator()
+            expected = _reference_keep(*shape, p_del, g1.bit_generator)
+            keep = deletion_keep_matrix(*shape, p_del, g2)
+            assert keep.shape == shape and keep.dtype == bool
+            assert (keep == expected).all(), (p_del, shape)
+            assert (g1.bit_generator.random_raw(4) == g2.bit_generator.random_raw(4)).all()
+
+
+def test_tie_branch_law():
+    # T = 253.5 * 2**45: top byte 253, and a tied cell is deleted iff its
+    # 45 low bits fall below 2**44, i.e. with probability exactly 1/2
+    p_del = 253.5 / 256
+    rows, n = 200_000, 8
+    g1 = RandomStream(11).child(0).generator()
+    g2 = RandomStream(11).child(0).generator()
+    hi = g1.bit_generator.random_raw(rows).astype("<u8").view(np.uint8).reshape(rows, n)
+    keep = deletion_keep_matrix(rows, n, p_del, g2)
+    tied = hi == 253
+    assert not keep[hi < 253].any() and keep[hi > 253].all()
+    k = int(tied.sum())
+    assert k > 5_000
+    assert abs((~keep[tied]).mean() - 0.5) <= 4 * math.sqrt(0.25 / k)
+    # overall deletion rate is T / 2**53
+    rate = math.ceil(p_del * 2**53) / 2**53
+    assert abs((~keep).mean() - rate) <= 4 * math.sqrt(rate * (1 - rate) / keep.size)
+    # cells 0 and 1 of a row are two bytes of one word, yet independent
+    table = np.array(
+        [[np.sum((keep[:, 0] == a) & (keep[:, 1] == b)) for b in (0, 1)] for a in (0, 1)]
+    )
+    assert table.min() >= 5
+    assert chi2_contingency(table).pvalue > 0.01
 
 
 def test_equal_seeds_equal_patterns():
