@@ -95,6 +95,21 @@ class EditDecomposition:
     n_sub: int
     lcs_length: int
 
+    @classmethod
+    def from_distances(
+        cls, len_a: int, len_b: int, distance: int, indel: int
+    ) -> "EditDecomposition":
+        """The decomposition of a pair of lengths ``len_a`` and ``len_b``
+        from its full-ops distance and its del/ins-only distance, which is
+        ``len_a + len_b - 2 LCS``."""
+        ell = (len_a + len_b - indel) // 2
+        n_sub = indel - distance
+        n_del = len_a - ell - n_sub
+        n_ins = len_b - ell - n_sub
+        if min(n_sub, n_del, n_ins) < 0:  # pragma: no cover - DP invariant
+            raise AssertionError("inconsistent distance/LCS pair")
+        return cls(distance, n_del, n_ins, n_sub, ell)
+
 
 @dataclass(frozen=True)
 class CardinalityParams:
@@ -146,14 +161,8 @@ def edit_decomposition(a: TokenSeq, b: TokenSeq) -> EditDecomposition:
     _check_schemes(a, b)
     ia, ib = _intern_pair(a.tokens, b.tokens)
     d = kernels.edit_distance_ids(ia, ib, True, True, True)
-    indel = kernels.edit_distance_ids(ia, ib, True, True, False)  # |a| + |b| - 2 LCS
-    ell = (len(ia) + len(ib) - indel) // 2
-    n_sub = indel - d
-    n_del = len(ia) - ell - n_sub
-    n_ins = len(ib) - ell - n_sub
-    if min(n_sub, n_del, n_ins) < 0:  # pragma: no cover - DP invariant
-        raise AssertionError("inconsistent distance/LCS pair")
-    return EditDecomposition(d, n_del, n_ins, n_sub, ell)
+    indel = kernels.edit_distance_ids(ia, ib, True, True, False)
+    return EditDecomposition.from_distances(len(ia), len(ib), d, indel)
 
 
 def enumerate_ball(
@@ -165,9 +174,11 @@ def enumerate_ball(
     """Brute-force oracle for the radius-``radius`` edit ball around ``x``.
 
     Every sequence over ``alphabet`` whose length could be within reach
-    is generated and filtered by one batched edit-distance call per
-    length.  Guarded to desk scale; this function exists to validate
-    formulas.
+    is generated and filtered by one batched edit-distance call on the
+    longest candidates: in lexicographic order, every ``|A|^(hi - m)``-th
+    of them starts with one of the length-``m`` candidates, whose
+    distance is that row's prefix column ``m``.  Guarded to desk scale;
+    this function exists to validate formulas.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -184,11 +195,13 @@ def enumerate_ball(
     ids = {tok: i for i, tok in enumerate(alphabet)}
     x_ids = [ids.setdefault(tok, len(ids)) for tok in x.tokens]
     tokens = np.array(alphabet, dtype=object)
+    longest = _universe(len(alphabet), hi)
+    dist = kernels.edit_distance_ids(longest, x_ids, ops.allow_del, ops.allow_ins, ops.allow_sub)
     members: set[TokenSeq] = set()
     for m in range(lo, hi + 1):
-        cands = _universe(len(alphabet), m)
-        d = kernels.edit_distance_ids(cands, x_ids, ops.allow_del, ops.allow_ins, ops.allow_sub)
-        within = cands[(d >= 0) & (d <= radius)]
+        stride = len(alphabet) ** (hi - m)
+        d = dist[::stride, m]
+        within = longest[::stride, :m][(d >= 0) & (d <= radius)]
         members.update(TokenSeq(tuple(row), x.scheme) for row in tokens[within].tolist())
     return members
 

@@ -3,7 +3,9 @@
 ``edit_distance_ids`` runs a scalar pure-Python DP for one pair (the
 small pairs of the CLI, the attacks and the tests, where numpy's per-call
 cost would dominate) and a numpy row recurrence when ``a`` is a 2-D array
-of equal-length candidates (the brute-force ball filter).
+of equal-length candidates (the brute-force ball filter).  The row
+recurrence returns the distance of every prefix of every row, so one
+call on the longest candidates also serves all shorter ones.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ def edit_distance_ids(a, b: Sequence[int], allow_del: bool, allow_ins: bool, all
 
     del removes a token of ``a``, ins inserts a token of ``b``, sub
     replaces one token by another.  Returns -1 when ``b`` is unreachable
-    under the allowed operations.  When ``a`` is a 2-D array, each row is
-    one sequence and the result is an int array with one distance per row.
+    under the allowed operations.  When ``a`` is a 2-D array of shape
+    ``(rows, n)``, each row is one sequence and the result is an int
+    array of shape ``(rows, n + 1)`` whose column ``i`` holds the distance
+    from each row's first ``i`` ids to ``b``.
     """
     if isinstance(a, np.ndarray) and a.ndim == 2:
         return _edit_distance_rows(a, b, allow_del, allow_ins, allow_sub)
@@ -48,7 +52,8 @@ def edit_distance_ids(a, b: Sequence[int], allow_del: bool, allow_ins: bool, all
 
 
 def _edit_distance_rows(a: np.ndarray, b, allow_del, allow_ins, allow_sub) -> np.ndarray:
-    """The scalar recurrence, one DP row per row of ``a`` at a time.
+    """The scalar recurrence, one DP row per row of ``a`` at a time; the
+    last DP column after step ``i`` is the distance of the ``i``-prefixes.
 
     Cells that derive from ``INF`` may grow past it by at most
     ``n + m``; every value of at least ``INF`` means unreachable.
@@ -57,6 +62,8 @@ def _edit_distance_rows(a: np.ndarray, b, allow_del, allow_ins, allow_sub) -> np
     b = np.asarray(b)
     j = np.arange(len(b) + 1, dtype=np.int32)
     prev = np.broadcast_to(j if allow_ins else np.where(j > 0, INF, 0), (rows, len(j)))
+    out = np.empty((rows, n + 1), dtype=np.int32)
+    out[:, 0] = prev[:, -1]
     for i in range(n):
         cur = np.empty((rows, len(j)), dtype=np.int32)
         cur[:, 0] = i + 1 if allow_del else INF
@@ -70,6 +77,8 @@ def _edit_distance_rows(a: np.ndarray, b, allow_del, allow_ins, allow_sub) -> np
         if allow_ins:
             # cur[j] = min over k <= j of cur[k] + (j - k)
             cur = np.minimum.accumulate(cur - j, axis=1) + j
+        out[:, i + 1] = cur[:, -1]
         prev = cur
-    return np.where(prev[:, -1] < INF, prev[:, -1], -1)
+    out[out >= INF] = -1
+    return out
 

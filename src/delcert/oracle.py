@@ -24,6 +24,8 @@ from .tokenization import TokenSeq
 _ENUM_MAX_TOKENS = 18
 #: most (sequence, deletion pattern) rows gathered at once while scoring
 _BLOCK_ROWS = 1 << 14
+#: largest subsequence key space whose labels are kept in a dense table
+_DENSE_MAX_KEYS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,19 +72,50 @@ def _keep_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table, n_deleted
 
 
+@functools.lru_cache(maxsize=64)
+def _key_weights(n: int, base: int) -> np.ndarray:
+    """Mixed-radix key weights of the deletion patterns on ``n`` tokens.
+
+    Entry ``[i, mask]`` is ``base^r`` when pattern ``mask`` keeps token
+    ``i`` as its ``r``-th kept token (from 0), else 0, so a row of token
+    ids times this table gives the key of every kept subsequence.  The
+    table is float32, exact because every key and partial sum stays
+    below ``_DENSE_MAX_KEYS <= 2^24``.
+    """
+    kept = 1 - ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    rank = np.cumsum(kept, axis=1) - 1
+    weights = np.where(kept == 1, float(base) ** rank, 0.0).T.astype(np.float32)
+    weights.flags.writeable = False
+    return weights
+
+
 def _smoothed_scores(
     model: BaseClassifier, seqs: Sequence[TokenSeq], p_del: float, exact: bool
 ) -> list[ExactScores]:
     """Exact smoothed scores of each sequence, in input order.
 
-    Sequences of one length are scored together: every kept subsequence
-    of every sequence becomes a row of byte token ids (the enumeration
-    guards keep the distinct tokens well under 256), each distinct text
-    is classified once per call, and patterns are counted per
+    Sequences of one length are scored together, each distinct text is
+    classified once per call, and patterns are counted per
     ``(tokens deleted, class)``.  With ``Fraction(p_del) == M / e``, a
     pattern deleting ``k`` of ``n`` tokens has mass
     ``M^k (e - M)^(n - k) / e^n``, so each probability is one ratio of
     integers: a ``Fraction`` when ``exact``, else the nearest float.
+
+    The ``V`` distinct tokens of the call get ids 1..V (the enumeration
+    guards keep ``V`` well under 256, so ids fit in a byte).  A kept
+    subsequence ``t_0 .. t_(k-1)`` is keyed by the mixed-radix integer
+    ``sum_r id(t_r) (V + 1)^r``: distinct subsequences of any lengths
+    get distinct keys, all below ``(V + 1)^n_max`` for the longest input
+    length ``n_max``, and a block's keys are one product of its id rows
+    with :func:`_key_weights`.  Labels are then read from a dense table
+    indexed by key: a block marks the rows whose keys have no label yet,
+    keeps one row per such key, classifies those kept subsequences and
+    gathers every row's label.  The table is used when the key space is
+    at most ``_DENSE_MAX_KEYS`` and at most the call's number of
+    (sequence, pattern) rows.  Otherwise (one 18-token input with
+    several distinct tokens, or any input whose table would outnumber
+    its rows, such as a single sequence) each block gathers its kept
+    subsequences as rows of byte ids and deduplicates them by sorting.
     """
     p = Fraction(p_del)
     m, e = p.numerator, p.denominator
@@ -92,10 +125,25 @@ def _smoothed_scores(
     token_id = {tok: i for i, tok in enumerate(names)}
     sep = seqs[0].scheme.separator
     label_of: dict[str, int] = {}
+
+    def classify(rows: np.ndarray) -> list[int]:
+        """Labels of zero-padded id rows, each text classified once."""
+        kept = np.count_nonzero(rows, axis=1).tolist()
+        texts = [sep.join(r[:k]) for r, k in zip(names[rows].tolist(), kept)]
+        new = [t for t in texts if t not in label_of] if label_of else texts
+        labels = classify_texts(model, new).tolist()
+        label_of.update(zip(new, labels))
+        return labels if new is texts else [label_of[t] for t in texts]
+
     scores_of: dict[tuple, ExactScores] = {}  # by counts, which many sequences share
     by_length: dict[int, list[int]] = {}
     for i, s in enumerate(seqs):
         by_length.setdefault(len(s), []).append(i)
+    base, n_max = len(names), max(by_length)
+    patterns = sum(len(idx) << n for n, idx in by_length.items())
+    dense = base**n_max <= min(patterns, _DENSE_MAX_KEYS)
+    if dense:
+        label_at = np.zeros(base**n_max, dtype=np.int32)  # label + 1; 0 until classified
     out: list = [None] * len(seqs)
     for n, idx in by_length.items():
         table, n_deleted = _keep_table(n)
@@ -106,15 +154,23 @@ def _smoothed_scores(
         step = max(1, _BLOCK_ROWS >> n)
         for start in range(0, len(idx), step):
             block = ids[start : start + step]
-            rows = block[:, table].reshape(-1, table.shape[1])
-            keys = rows.view(np.uint64 if rows.shape[1] == 8 else f"V{rows.shape[1]}").ravel()
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            rows = distinct.view(np.uint8).reshape(len(distinct), -1)
-            kept = np.count_nonzero(rows, axis=1).tolist()
-            texts = [sep.join(r[:k]) for r, k in zip(names[rows].tolist(), kept)]
-            new = [t for t in texts if t not in label_of]
-            label_of.update(zip(new, classify_texts(model, new).tolist()))
-            labels = np.array([label_of[t] for t in texts])[inverse].reshape(len(block), -1)
+            if dense:
+                keys = block[:, 1:].astype(np.float32) @ _key_weights(n, base)
+                keys = keys.astype(np.intp).ravel()
+                pos = np.flatnonzero(label_at[keys] == 0)  # rows of unlabelled keys
+                if len(pos):
+                    # a key written by several rows keeps one of them: one row per new key
+                    label_at[keys[pos]] = pos + 1
+                    pos = pos[label_at[keys[pos]] == pos + 1]
+                    rows = block[(pos >> n)[:, None], table[pos & ((1 << n) - 1)]]
+                    label_at[keys[pos]] = np.array(classify(rows)) + 1
+                labels = (label_at[keys] - 1).reshape(len(block), -1)
+            else:
+                rows = np.ascontiguousarray(block[:, table]).reshape(-1, table.shape[1])
+                keys = rows.view(np.uint64 if rows.shape[1] == 8 else f"V{rows.shape[1]}").ravel()
+                distinct, inverse = np.unique(keys, return_inverse=True)
+                rows = distinct.view(np.uint8).reshape(len(distinct), -1)
+                labels = np.array(classify(rows))[inverse].reshape(len(block), -1)
             cell = (np.arange(len(block))[:, None] * (n + 1) + n_deleted) * classes + labels
             counts = np.bincount(cell.ravel(), minlength=len(block) * (n + 1) * classes)
             for i, row in zip(idx[start:], map(tuple, counts.reshape(len(block), -1).tolist())):
@@ -196,12 +252,12 @@ def verify_certificate(
     ``x`` and its ball are scored in one batched pass (the scores of
     :func:`exact_smoothed_scores`), so that a text shared by several
     sequences is classified once.  Returns the members whose prediction
-    differs from the one at ``x``; an empty list means the claimed
-    radius survived brute force.
+    differs from the one at ``x``, sorted by tokens; an empty list means
+    the claimed radius survived brute force.
     """
-    members = sorted(
-        (m for m in enumerate_ball(x, radius, ops, alphabet) if m.tokens != x.tokens),
-        key=lambda s: s.tokens,
-    )
+    members = list(enumerate_ball(x, radius, ops, alphabet))
     at_x, *scores = _smoothed_scores(model, [x, *members], p_del, exact=False)
-    return [m for m, s in zip(members, scores) if s.argmax != at_x.argmax]
+    top = at_x.argmax
+    distinct = {id(s): s for s in scores}  # members with equal counts share one object
+    flipped = {key for key, s in distinct.items() if s.argmax != top}
+    return sorted((m for m, s in zip(members, scores) if id(s) in flipped), key=lambda m: m.tokens)

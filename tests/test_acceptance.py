@@ -17,11 +17,10 @@ from delcert import (
     ALL_OPS_SETS,
     FULL_OPS,
     CardinalityParams,
+    EditDecomposition,
     EditOpsSet,
     Scheme,
     TokenSeq,
-    edit_decomposition,
-    edit_distance,
     enumerate_ball,
     hamming_ball_cardinality,
     lev_ball_cardinality_exact,
@@ -49,6 +48,7 @@ from delcert.certify import (
 )
 from delcert.cli import main as cli_main
 from delcert.edit_metrics import supersequence_count
+from delcert.kernels import edit_distance_ids
 from delcert.mechanisms import (
     MechanismKind,
     MechanismParams,
@@ -121,25 +121,47 @@ def test_criterion_01_certificate_soundness_exhaustive(exact_scores):
     )
 
 
+def _pair_decompositions(max_len: int, radius: int):
+    """``edit_decomposition(a, b)`` of every pair of sequences of length
+    <= ``max_len`` with ``edit_distance(a, b) <= radius``, keyed by ``(a, b)``.
+
+    Two row-batched kernel calls per target ``b`` serve every source:
+    the length-``m`` sources start every ``3^(max_len - m)``-th row of
+    the length-``max_len`` universe, and their distances are the prefix
+    column ``m`` of those rows.
+    """
+    longest = np.array(list(itertools.product(range(3), repeat=max_len)), dtype=np.int8)
+    first_row = {}
+    for a in _universe(max_len):
+        row = 0
+        for t in a:
+            row = 3 * row + ALPHABET.index(t)
+        first_row[a] = row * 3 ** (max_len - len(a))
+    decs = {}
+    for b in _universe(max_len):
+        ib = [ALPHABET.index(t) for t in b]
+        full = edit_distance_ids(longest, ib, True, True, True).tolist()
+        indel = edit_distance_ids(longest, ib, True, True, False).tolist()
+        for a, row in first_row.items():
+            d, d_indel = full[row][len(a)], indel[row][len(a)]
+            if d <= radius:
+                decs[a, b] = EditDecomposition.from_distances(len(a), len(b), d, d_indel)
+    return decs
+
+
 def test_criterion_02_pairwise_bounds_exhaustive(exact_scores):
     t0 = time.time()
-    xs = list(_universe(5))
+    decs = _pair_decompositions(5, 3)
     violations = 0
     checked = 0
     for p in P_DELS:
-        for a in xs:
-            A = TokenSeq(a, W)
-            for b in xs:
-                B = TokenSeq(b, W)
-                if edit_distance(A, B) > 3:
-                    continue
-                dec = edit_decomposition(A, B)
-                for c in range(2):
-                    lo, hi = pairwise_bounds(exact_scores[(b, p)][c], dec, p)
-                    val = exact_scores[(a, p)][c]
-                    checked += 1
-                    if not (lo - 1e-9 <= val <= hi + 1e-9):
-                        violations += 1
+        for (a, b), dec in decs.items():
+            for c in range(2):
+                lo, hi = pairwise_bounds(exact_scores[(b, p)][c], dec, p)
+                val = exact_scores[(a, p)][c]
+                checked += 1
+                if not (lo - 1e-9 <= val <= hi + 1e-9):
+                    violations += 1
     report(
         2,
         "pairwise score bounds, exhaustive",

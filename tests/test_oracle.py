@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +18,10 @@ from delcert import (
 )
 from delcert.certify import radius_from_margin, vote_counts
 from delcert.errors import GuardError
-from delcert.mechanisms import MechanismKind, MechanismParams
+from delcert.mechanisms import MechanismKind, MechanismParams, pattern_probability
 from delcert.oracle import (
+    _DENSE_MAX_KEYS,
+    _smoothed_scores,
     alignment_witness,
     exact_smoothed_scores,
     verify_certificate,
@@ -78,6 +83,54 @@ def test_float_scores_are_rounded_fractions(model):
             q = exact_smoothed_scores(model, x, p, method="fraction").probs
             assert sum(q) == 1
             assert exact_smoothed_scores(model, x, p).probs == tuple(float(v) for v in q)
+
+
+@functools.cache
+def _pattern_masses(n, p):
+    """Every deletion pattern on ``n`` tokens with its mass times ``den``,
+    an integer for ``den`` the n-th power of ``p``'s denominator."""
+    den = p.denominator**n
+    masses = [(deleted, pattern_probability(deleted, p) * den)
+              for deleted in itertools.product((0, 1), repeat=n)]
+    assert all(mass.denominator == 1 for _, mass in masses)
+    return [(deleted, int(mass)) for deleted, mass in masses], den
+
+
+def _reference_probs(model, x, p):
+    """Exact smoothed scores by a plain loop over all 2^n deletion patterns."""
+    masses, den = _pattern_masses(len(x), p)
+    nums = [0] * model.num_classes
+    for deleted, mass in masses:
+        kept = [tok for tok, d in zip(x.tokens, deleted) if not d]
+        nums[model.classify_batch([x.scheme.separator.join(kept)])[0]] += mass
+    return tuple(Fraction(v, den) for v in nums)
+
+
+@pytest.mark.parametrize("model", [KeywordClassifier("a"), TokenSumClassifier()],
+                         ids=["keyword", "three-class"])
+def test_batched_scores_match_pattern_loop(model):
+    rng = random.Random(7)
+    alphabet = seqs(["a", "b", "c"], 6)
+    empty = TokenSeq((), W)
+    # ten tokens besides a and b that the verify alphabet lacks
+    foreign = [TokenSeq(tuple(rng.choices("abdefghijklm", k=rng.randint(1, 6))), W)
+               for _ in range(40)] + [empty, empty]
+    chars = [tokenize(t, Scheme.CHARACTER) for t in ("a ba", "ab  c", "b\u0301a", "cab")]
+    x = tokenize("a b b a")
+    batches = [alphabet + [empty, x], foreign, chars, [empty, empty], [empty, x, empty, x, empty]]
+    # the first batch is labelled through the dense table; the foreign
+    # tokens make the key space too large for it
+    assert 4**6 <= min(sum(2 ** len(s) for s in batches[0]), _DENSE_MAX_KEYS)
+    vocab, n_max = {t for s in foreign for t in s}, max(map(len, foreign))
+    assert (len(vocab) + 1) ** n_max > _DENSE_MAX_KEYS
+    for p in (0.5, 0.8, 0.9):
+        q = Fraction(p)
+        for batch in batches:
+            exact = _smoothed_scores(model, batch, p, exact=True)
+            rounded = _smoothed_scores(model, batch, p, exact=False)
+            for s, e, r in zip(batch, exact, rounded, strict=True):
+                assert e.probs == _reference_probs(model, s, q), (s, p)
+                assert r.probs == tuple(float(v) for v in e.probs)
 
 
 def test_guard_maximum_runs():
