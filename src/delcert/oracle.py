@@ -130,6 +130,7 @@ def _smoothed_scores(
         """Labels of zero-padded id rows, each text classified once."""
         kept = np.count_nonzero(rows, axis=1).tolist()
         texts = [sep.join(r[:k]) for r, k in zip(names[rows].tolist(), kept)]
+        # until the first texts are labelled, every text is new
         new = [t for t in texts if t not in label_of] if label_of else texts
         labels = classify_texts(model, new).tolist()
         label_of.update(zip(new, labels))
