@@ -6,7 +6,7 @@ The public surface groups into:
 - :mod:`~delcert.tokenization` -- the adversary's tokenizer;
 - :mod:`~delcert.edit_metrics` -- constrained edit distances, balls and
   their cardinalities (the DP lives in :mod:`~delcert.kernels`);
-- :mod:`~delcert.mechanisms` -- deletion and masking noise;
+- :mod:`~delcert.mechanisms` -- deletion and masking keep matrices;
 - :mod:`~delcert.classifier` / :mod:`~delcert.external` -- base models;
 - :mod:`~delcert.certify` -- smoothed prediction, score bounds, radii;
 - :mod:`~delcert.oracle` -- brute-force ground truth at desk scale;
@@ -44,8 +44,8 @@ from .mechanisms import (
     MechanismKind,
     MechanismParams,
     deletion_keep_matrix,
+    masking_keep_matrix,
     pattern_probability,
-    sample_masking,
 )
 from .rng import RandomStream
 from .tokenization import Scheme, TokenSeq, detokenize, tokenize
@@ -78,10 +78,10 @@ __all__ = [
     "hamming_ball_cardinality",
     "lev_ball_cardinality_exact",
     "lev_ball_cardinality_lower_bound",
+    "masking_keep_matrix",
     "pairwise_bounds",
     "pattern_probability",
     "radius_from_margin",
-    "sample_masking",
     "score_bounds",
     "smoothed_predict",
     "tokenize",

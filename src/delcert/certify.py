@@ -12,7 +12,7 @@ Floors are never taken on raw logarithms alone: a final check in exact
 rational arithmetic rejects off-by-one radii at boundary margins, since
 an overstated radius would be a soundness bug.
 
-Deletion draws come from :func:`~delcert.mechanisms.deletion_keep_matrix`.
+Draws come from the keep-matrix samplers of :mod:`~delcert.mechanisms`.
 :class:`SmoothedPredictor` is the smoothed classifier as a
 :class:`~delcert.classifier.BaseClassifier`, so that it can be attacked
 like any base model.
@@ -38,9 +38,10 @@ from .edit_metrics import (
     EditOpsSet,
     lev_ball_cardinality_lower_bound,
 )
-from .mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix, sample_masking
+from .mechanisms import DEFAULT_MASK_TOKEN, MechanismKind, MechanismParams
+from .mechanisms import deletion_keep_matrix, masking_keep_matrix
 from .rng import RandomStream, text_fingerprint
-from .tokenization import Scheme, TokenSeq, detokenize, tokenize
+from .tokenization import Scheme, TokenSeq, tokenize
 
 #: sentinel for a radius with no finite constraint (margin exactly one under
 #: an insertion-only adversary); far larger than any sequence this library
@@ -132,14 +133,20 @@ def _distinct_rows(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keep[first], inverse
 
 
-def _deletion_labels(model: BaseClassifier, x: TokenSeq, keep: np.ndarray) -> np.ndarray:
-    """The label of each draw, each distinct kept-token text classified once."""
+def _keep_labels(
+    model: BaseClassifier, x: TokenSeq, keep: np.ndarray, fill: str | None
+) -> np.ndarray:
+    """The label of each draw, each distinct row's text built and classified
+    once: a cleared cell drops its token, or shows ``fill`` if one is given."""
     distinct, inverse = _distinct_rows(keep)
-    # every row's kept tokens in one flat list, row after row
-    kept = np.array(x.tokens, dtype=object)[np.nonzero(distinct)[1]].tolist()
+    cells = np.broadcast_to(np.array(x.tokens, dtype=object), distinct.shape)
+    if fill is not None:  # masking shows every cell
+        cells, distinct = np.where(distinct, cells, fill), np.ones_like(distinct)
+    # every row's shown tokens in one flat list, row after row
+    shown = cells[distinct].tolist()
     ends = np.cumsum(distinct.sum(axis=1)).tolist()
     sep = x.scheme.separator
-    texts = [sep.join(kept[start:end]) for start, end in zip([0] + ends, ends)]
+    texts = [sep.join(shown[start:end]) for start, end in zip([0] + ends, ends)]
     return classify_texts(model, texts)[inverse]
 
 
@@ -155,26 +162,19 @@ def vote_counts(
     For the built-in model under deletion noise the votes are computed
     through one keep-matrix product instead of materializing texts; the
     draws consumed from ``rng`` are identical either way.  Any other
-    classifier sees each distinct text once per call (see
+    case builds each distinct draw's text once and classifies it (see
     :func:`~delcert.classifier.classify_texts`).
     """
-    num_classes = model.num_classes
-    if mech.kind is MechanismKind.DELETION:
-        keep = deletion_keep_matrix(n_samples, len(x), mech.rate, rng)
-        if isinstance(model, BuiltinModel) and model.scheme == x.scheme:
-            rows = model.token_rows(x.tokens)
-            contrib = model.log_likelihood[rows]  # (n, C)
-            scores = keep.astype(np.float64) @ contrib + model.log_prior
-            labels = np.argmax(scores, axis=1)
-            return np.bincount(labels, minlength=num_classes)
-        labels = _deletion_labels(model, x, keep)
+    deletion = mech.kind is MechanismKind.DELETION
+    # looked up at each call, so a rebound certify.deletion_keep_matrix is used
+    sampler = deletion_keep_matrix if deletion else masking_keep_matrix
+    keep = sampler(n_samples, len(x), mech.rate, rng)
+    if deletion and isinstance(model, BuiltinModel) and model.scheme == x.scheme:
+        contrib = model.log_likelihood[model.token_rows(x.tokens)]  # (n, C)
+        labels = np.argmax(keep.astype(np.float64) @ contrib + model.log_prior, axis=1)
     else:
-        texts = [
-            detokenize(sample_masking(x, mech.rate, mech.mask_token, rng))
-            for _ in range(n_samples)
-        ]
-        labels = classify_texts(model, texts)
-    return np.bincount(labels, minlength=num_classes)
+        labels = _keep_labels(model, x, keep, None if deletion else DEFAULT_MASK_TOKEN)
+    return np.bincount(labels, minlength=model.num_classes)
 
 
 def smoothed_predict(

@@ -16,7 +16,8 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .errors import DataFormatError
-from .mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix, sample_masking
+from .mechanisms import DEFAULT_MASK_TOKEN, MechanismKind, MechanismParams
+from .mechanisms import deletion_keep_matrix, masking_keep_matrix
 from .rng import RandomStream
 from .tokenization import Scheme, split_tokens, tokenize
 
@@ -222,8 +223,9 @@ def train_builtin(
     """Fit the built-in model on mechanism-perturbed copies of the data.
 
     Each training text contributes ``samples_per_instance`` independent
-    perturbed copies (under deletion, the rows of one keep matrix); with
-    a zero-rate mechanism and one copy this is exactly clean training.
+    perturbed copies, the rows of one keep matrix: a copy counts its kept
+    tokens and, under masking, one mask token per masked cell.  With a
+    zero-rate mechanism and one copy this is exactly clean training.
     Deterministic given the stream seed.
     """
     if samples_per_instance < 1:
@@ -238,18 +240,17 @@ def train_builtin(
 
     counts = [Counter() for _ in range(data.num_classes)]  # token counts per class
     class_doc_counts = np.zeros(data.num_classes, dtype=np.int64)
+    masking = mech.kind is MechanismKind.MASKING
+    sampler = masking_keep_matrix if masking else deletion_keep_matrix
     for idx, (text, label) in enumerate(data.items):
         seq = tokenize(text, scheme)
-        rng = stream.child(idx).generator()
-        if mech.kind is MechanismKind.DELETION:
-            # copies kept per token; a token kept in no copy is never seen
-            kept = deletion_keep_matrix(samples_per_instance, len(seq), mech.rate, rng)
-            for tok, times in zip(seq.tokens, kept.sum(axis=0).tolist()):
-                if times:
-                    counts[label][tok] += times
-        else:
-            for _ in range(samples_per_instance):
-                counts[label].update(sample_masking(seq, mech.rate, mech.mask_token, rng).tokens)
+        # copies kept per token; a token kept in no copy is never seen
+        keep = sampler(samples_per_instance, len(seq), mech.rate, stream.child(idx).generator())
+        for tok, times in zip(seq.tokens, keep.sum(axis=0).tolist()):
+            if times:
+                counts[label][tok] += times
+        if masking and not keep.all():
+            counts[label][DEFAULT_MASK_TOKEN] += keep.size - int(keep.sum())
         class_doc_counts[label] += samples_per_instance
 
     tokens = tuple(sorted(set().union(*counts)))

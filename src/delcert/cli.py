@@ -89,18 +89,19 @@ def _read_config(path: str) -> dict[str, str]:
 class _Opts:
     """Resolves option values with precedence flag > config > default.
 
-    Config values are parsed and checked like the flag they stand for.
+    Config values are parsed and checked like the flag they stand for;
+    ``get(key, {})`` is None for an option that neither sets.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
         self.config = _read_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, key: str):
+    def get(self, key: str, defaults: dict = DEFAULTS):
         if self.args.get(key) is not None:
             return self.args[key]
         if key not in self.config:
-            return DEFAULTS.get(key)
+            return defaults.get(key)
         spec = _FLAGS["--" + key.replace("_", "-")]
         try:
             value = spec.get("type", str)(self.config[key])
@@ -169,11 +170,17 @@ def _classifier(opts: _Opts):
 
 
 def _input_scheme(model, opts: _Opts) -> Scheme:
-    """The built-in model's own scheme, else ``--scheme``."""
-    return model.scheme if isinstance(model, BuiltinModel) else Scheme(opts.get("scheme"))
+    """The built-in model's own scheme, which ``--scheme`` may only repeat;
+    else ``--scheme``."""
+    if not isinstance(model, BuiltinModel):
+        return Scheme(opts.get("scheme"))
+    given = opts.get("scheme", {})
+    if given not in (None, model.scheme.value):
+        raise UsageError(f"--scheme {given} contradicts the {model.scheme.value}-scheme model")
+    return model.scheme
 
 
-def _make_target(opts: _Opts, model):
+def _make_target(opts: _Opts, model, scheme: Scheme):
     """The attacked classifier: ``model`` itself, or smoothed around it."""
     if opts.get("target") == "base":
         return model
@@ -182,7 +189,7 @@ def _make_target(opts: _Opts, model):
         _mechanism(opts),
         n_samples=opts.get("prediction_samples"),
         stream=RandomStream(opts.get("seed")),
-        scheme=Scheme(opts.get("scheme")),
+        scheme=scheme,
     )
 
 
@@ -412,17 +419,15 @@ def cmd_attack(args: argparse.Namespace) -> int:
         timeout_seconds=opts.get("timeout_seconds"),
     )
     with _classifier(opts) as model:
-        target = _make_target(opts, model)
+        scheme = _input_scheme(model, opts)
+        target = _make_target(opts, model, scheme)
         if args.lexicon:
             lexicon = atk.load_lexicon(args.lexicon)
         elif isinstance(model, BuiltinModel):
             lexicon = atk.lexicon_from_model(model)
         else:
-            lexicon = atk.lexicon_from_dataset(data, scheme=Scheme(opts.get("scheme")))
-        report = atk.run_attack(
-            target, data, recipe, lexicon, scheme=Scheme(opts.get("scheme")),
-            jobs=opts.get("jobs"),
-        )
+            lexicon = atk.lexicon_from_dataset(data, scheme=scheme)
+        report = atk.run_attack(target, data, recipe, lexicon, scheme=scheme, jobs=opts.get("jobs"))
     meta = {
         "mode": "direct",
         "recipe": asdict(recipe),
@@ -456,7 +461,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     opts = _Opts(args)
     source = _report_from_json(args.source_report)
     with _classifier(opts) as model:
-        report = atk.transfer_attack(source, _make_target(opts, model))
+        report = atk.transfer_attack(source, _make_target(opts, model, _input_scheme(model, opts)))
     meta = {
         "mode": "transfer",
         "source_report": args.source_report,

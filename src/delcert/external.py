@@ -9,7 +9,8 @@ answers on stdout, one object per line, UTF-8:
 Protocol failures (mismatched id, malformed JSON, wrong label count, a
 label that is not an integer class index, process exit, timeout)
 surface as :class:`TransportError`, never as classification results.
-A timeout stops the child, and every later call on the adapter fails.
+A timeout stops the child.  After a timeout or the end of the child's
+output, every later call on the adapter fails at once.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ class ExternalClassifier:
                 self._proc.wait()
                 raise TransportError(self._broken) from None
             if line is None:
-                raise TransportError("classifier process closed its output stream")
+                # the sentinel is read once: a later call would wait out its timeout
+                self._broken = "classifier process closed its output stream"
+                raise TransportError(self._broken)
             try:
                 response = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -1,8 +1,11 @@
 """Smoothing noise sources: random token deletion and the masking baseline.
 
-:func:`deletion_keep_matrix` is the one deletion sampler: certification,
-smoothed prediction and training all draw their deletion patterns from
-it, and :func:`pattern_probability` is their mass.
+Certification, smoothed prediction and training draw both as a boolean
+keep matrix, a row per draw and a column per token, whose cleared cells
+are deleted or shown as :data:`DEFAULT_MASK_TOKEN`.
+:func:`deletion_keep_matrix` reads raw words from ``rng.bit_generator``
+and :func:`pattern_probability` is its mass; :func:`masking_keep_matrix`
+makes one ``rng.choice`` call per row.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-
-from .tokenization import TokenSeq
 
 DEFAULT_MASK_TOKEN = "[MASK]"
 
@@ -34,7 +35,6 @@ class MechanismKind(str, Enum):
 class MechanismParams:
     kind: MechanismKind
     rate: float
-    mask_token: str = DEFAULT_MASK_TOKEN
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -81,31 +81,24 @@ def deletion_keep_matrix(
     return keep.reshape(n_samples, n)
 
 
+def masking_keep_matrix(
+    n_samples: int, n: int, p_mask: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The masking sampler: row ``i`` masks the ``k = round(p_mask * n)``
+    cells (half up) of the ``i``-th ``rng.choice(n, size=k, replace=False)``
+    call; with ``k`` 0 nothing is drawn."""
+    if not 0.0 <= p_mask <= 1.0:
+        raise ValueError(f"p_mask must lie in [0, 1], got {p_mask}")
+    keep = np.ones((n_samples, n), dtype=bool)
+    k = int(p_mask * n + 0.5)  # round half up, deterministically
+    if k:
+        for row in keep:
+            row[rng.choice(n, size=k, replace=False)] = False
+    return keep
+
+
 def pattern_probability(deleted: Sequence[int], p_del: float | Fraction) -> float | Fraction:
     """Bernoulli product mass of a pattern of 0/1 deletion indicators; it
     sums to one over all 2^n patterns, exactly when ``p_del`` is a Fraction."""
     k = sum(deleted)
     return p_del**k * (1 - p_del) ** (len(deleted) - k)
-
-
-def sample_masking(
-    x: TokenSeq,
-    p_mask: float,
-    mask_token: str = DEFAULT_MASK_TOKEN,
-    rng: np.random.Generator | None = None,
-) -> TokenSeq:
-    """Replace a uniformly random subset of exactly round(p_mask * n)
-    positions by ``mask_token``; the length is preserved.
-    """
-    if rng is None:
-        raise ValueError("rng is required")
-    if not 0.0 <= p_mask <= 1.0:
-        raise ValueError(f"p_mask must lie in [0, 1], got {p_mask}")
-    n = len(x)
-    k = int(p_mask * n + 0.5)  # round half up, deterministically
-    if k == 0:
-        return x
-    positions = set(rng.choice(n, size=k, replace=False).tolist())
-    tokens = tuple(mask_token if i in positions else tok for i, tok in enumerate(x.tokens))
-    return x.replace_tokens(tokens)
-

@@ -41,9 +41,6 @@ class TokenSeq:
     def __iter__(self):
         return iter(self.tokens)
 
-    def replace_tokens(self, tokens) -> "TokenSeq":
-        return TokenSeq(tuple(tokens), self.scheme)
-
 
 def _graphemes(text: str) -> list[str]:
     # Approximates extended grapheme clusters: a base character plus any

@@ -12,9 +12,12 @@ Modes:
   bool       -- label true for every text
   range      -- label 2 for every text (out of range for two classes)
   slow       -- label 0 for every text, after a 2-second pause
+  close      -- closes its output at the first request, then lives on
+                until its input ends
 """
 
 import json
+import os
 import sys
 import time
 
@@ -29,6 +32,11 @@ def main() -> None:
             continue
         msg = json.loads(line)
         texts = msg["texts"]
+        if mode == "close":
+            os.close(sys.stdout.fileno())
+            for _ in sys.stdin:
+                pass
+            return
         if mode == "bad-id":
             out = {"id": msg["id"] + 1000, "labels": [0] * len(texts)}
         elif mode == "garbage":

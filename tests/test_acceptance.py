@@ -55,7 +55,7 @@ from delcert.mechanisms import (
     deletion_keep_matrix,
     pattern_probability,
 )
-from delcert.oracle import exact_smoothed_scores
+from delcert.oracle import _smoothed_scores, exact_smoothed_scores
 from delcert.rng import RandomStream
 from delcert.textcrs import max_certified_edit_radius
 
@@ -80,12 +80,18 @@ def _universe(max_len: int):
 @pytest.fixture(scope="module")
 def exact_scores():
     """Exact smoothed scores of the keyword rule for every sequence of
-    length <= 8 over the alphabet, at both deletion rates."""
+    length <= 8 over the alphabet, at both deletion rates: one batched
+    oracle call per rate, equal to the one-sequence oracle on a sample."""
     kw = KeywordClassifier("a")
+    universe = list(_universe(8))
+    seqs = [TokenSeq(toks, W) for toks in universe]
     cache = {}
     for p in P_DELS:
-        for toks in _universe(8):
-            cache[(toks, p)] = exact_smoothed_scores(kw, TokenSeq(toks, W), p).probs
+        scores = _smoothed_scores(kw, seqs, p, exact=False)
+        for i, (toks, x) in enumerate(zip(universe, seqs)):
+            cache[(toks, p)] = scores[i].probs
+            if i % 61 == 0 or i == len(seqs) - 1:
+                assert scores[i].probs == exact_smoothed_scores(kw, x, p).probs, (toks, p)
     return cache
 
 

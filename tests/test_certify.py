@@ -34,7 +34,7 @@ from delcert.certify import (
 from delcert.edit_metrics import EditDecomposition
 from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
 from delcert.rng import RandomStream
-from delcert.tokenization import detokenize
+from delcert.tokenization import TokenSeq, detokenize
 
 from conftest import (
     ConstantClassifier,
@@ -311,7 +311,7 @@ def _reference_votes(model, x, mech, n_samples, rng):
     """The text path one draw at a time: a text per draw, built token by
     token and scored on its own.  Returns the votes and the texts."""
     keep = deletion_keep_matrix(n_samples, len(x), mech.rate, rng)
-    texts = [detokenize(x.replace_tokens([t for t, k in zip(x.tokens, row) if k])) for row in keep]
+    texts = [detokenize(TokenSeq([t for t, k in zip(x.tokens, row) if k], x.scheme)) for row in keep]
     labels = [int(np.argmax(model.scores_for_tokens(tokenize(t).tokens))) for t in texts]
     return np.bincount(labels, minlength=model.num_classes), texts, keep
 

@@ -7,7 +7,7 @@ from delcert.mechanisms import (
     MechanismKind,
     MechanismParams,
     deletion_keep_matrix,
-    sample_masking,
+    masking_keep_matrix,
 )
 from delcert.rng import RandomStream
 from delcert.tokenization import Scheme, tokenize
@@ -48,20 +48,21 @@ def test_rate_zero_equals_clean_training():
 
 
 def _train_per_copy(data, mech, samples_per_instance, seed, scheme):
-    """Reference trainer: counts one perturbed copy at a time (under
-    deletion, the copies are the rows of the text's keep matrix)."""
+    """Reference trainer: counts one perturbed copy at a time, the copies
+    being the rows of the text's keep matrix (a cleared cell deletes its
+    token, or under masking shows "[MASK]" in its place)."""
+    sampler = deletion_keep_matrix if mech.kind is MechanismKind.DELETION else masking_keep_matrix
     counts: dict[str, list[int]] = {}
     docs = [0] * data.num_classes
     for idx, (text, label) in enumerate(data.items):
         seq = tokenize(text, scheme)
         rng = RandomStream(seed).child(idx).generator()
-        if mech.kind is MechanismKind.DELETION:
-            keep = deletion_keep_matrix(samples_per_instance, len(seq), mech.rate, rng)
+        keep = sampler(samples_per_instance, len(seq), mech.rate, rng)
         for copy in range(samples_per_instance):
             if mech.kind is MechanismKind.DELETION:
                 kept = [tok for tok, k in zip(seq.tokens, keep[copy]) if k]
             else:
-                kept = sample_masking(seq, mech.rate, mech.mask_token, rng).tokens
+                kept = [tok if k else "[MASK]" for tok, k in zip(seq.tokens, keep[copy])]
             for tok in kept:
                 counts.setdefault(tok, [0] * data.num_classes)[label] += 1
             docs[label] += 1

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import shlex
 import sys
 
 import pytest
 
+from delcert import FULL_OPS, LabeledDataset, Scheme, edit_distance, tokenize
 from delcert.cli import main
 
 from conftest import marker_presence_dataset
@@ -593,3 +595,85 @@ def test_dropped_flags_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _char_model(tmp_path):
+    data = LabeledDataset.from_pairs([("good film", 1), ("bad film", 0), ("good show", 1), ("bad show", 0)] * 3)
+    data_path, model_path = tmp_path / "char.jsonl", tmp_path / "char.json"
+    write_jsonl(data_path, data)
+    args = ["train", "--data", str(data_path), "--out", str(model_path), "--scheme", "character",
+            "--rate", "0.0", "--samples-per-instance", "1"]
+    assert main(args) == 0
+    return model_path, data_path
+
+
+@pytest.mark.parametrize("target", ["base", "smoothed"])
+def test_attack_uses_model_scheme(tmp_path, target):
+    # a character-scheme model is attacked, and smoothed, in characters:
+    # each success reports its character edit distance
+    model_path, data_path = _char_model(tmp_path)
+    report_path = tmp_path / "attack.json"
+    rc = main(["attack", "--model", str(model_path), "--data", str(data_path), "--out",
+               str(report_path), "--recipe", "greedy_edit", "--target", target,
+               "--prediction-samples", "20", "--rate", "0.3", "--max-queries", "300"])
+    assert rc == 0
+    outcomes = json.loads(report_path.read_text())["outcomes"]
+    successes = [o for o in outcomes if o["status"] == "success"]
+    assert successes
+    for o in successes:
+        chars = [tokenize(o[k], Scheme.CHARACTER) for k in ("original_text", "adversarial_text")]
+        assert o["edit_distance_used"] == edit_distance(*chars, FULL_OPS)
+
+
+def test_scheme_contradicting_model_exit_2(tmp_path, capsys):
+    model_path, data_path = _char_model(tmp_path)
+    report = tmp_path / "attack.json"
+    common = ["--model", str(model_path), "--out", str(tmp_path / "out")]
+    commands = [
+        ["predict", "--data", str(data_path), "--n-pred", "10"],
+        ["certify", "--data", str(data_path), "--n-pred", "10", "--n-cert", "20"],
+        ["attack", "--data", str(data_path), "--target", "base", "--out", str(report)],
+        ["transfer", "--source-report", str(report), "--target", "base"],
+    ]
+    for argv in commands:
+        # the model's own scheme is accepted, spelled out or not
+        command, *rest = argv  # rest comes last: attack's --out wins
+        assert main([command, *common, *rest, "--scheme", "character"]) == 0
+        capsys.readouterr()
+        assert main([command, *common, *rest, "--scheme", "whitespace"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "contradicts the character-scheme model" in err
+    config = tmp_path / "scheme.cfg"
+    config.write_text("scheme = whitespace\n")
+    assert main(["predict", "--data", str(data_path), *common, "--config", str(config)]) == 2
+    assert "contradicts" in capsys.readouterr().err
+
+
+#: sha256 of a masking-trained model and of its masking predict CSV,
+#: at fixed seeds (marker data, p_mask 0.3)
+_MASKING_SHA256 = {
+    "whitespace": (
+        "2ef020151e3269c6e663b0bc060160858ced1ee32aeab0f7cd08027a82f8f23a",
+        "b0331d1f1ef29d7042cedbc806184af4e816a1a27465fa049218ca79d01742be",
+    ),
+    "character": (
+        "1e678611e055fbd71a546f343d673927cb6b6f83aa20cb1a80f104336bdca8dd",
+        "ccffb18639b0cf33b89de6ca4fbbd8778c2b8062c339171dd075632a33413ff8",
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_MASKING_SHA256))
+def test_masking_outputs_pinned(tmp_path, scheme, capsys):
+    train_path, test_path = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    write_jsonl(train_path, marker_presence_dataset(40, seed=71))
+    write_jsonl(test_path, marker_presence_dataset(12, seed=72))
+    model, preds = tmp_path / "model.json", tmp_path / "pred.csv"
+    masking = ["--mechanism", "masking", "--rate", "0.3"]
+    assert main(["train", "--data", str(train_path), "--out", str(model), *masking,
+                 "--samples-per-instance", "4", "--seed", "5", "--scheme", scheme]) == 0
+    assert main(["predict", "--data", str(test_path), "--out", str(preds), "--model", str(model),
+                 *masking, "--n-pred", "50", "--seed", "6"]) == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (model, preds))
+    assert got == _MASKING_SHA256[scheme]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,20 @@ def test_process_exit_is_transport_error(worker_cmd):
             clf.classify_batch(["x"])  # first call may see EOF or exit; second surely fails
     finally:
         clf.close()
+
+
+def test_closed_output_breaks_adapter(worker_cmd):
+    # the child is still alive after closing its output, so only the adapter
+    # can tell that no reply will ever come
+    with ExternalClassifier(worker_cmd("close"), num_classes=2, timeout=5) as clf:
+        with pytest.raises(TransportError, match="closed its output stream"):
+            clf.classify_batch(["x"])
+        assert clf._proc.poll() is None
+        for _ in range(2):
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="earlier failure: .*closed its output"):
+                clf.classify_batch(["y"])
+            assert time.monotonic() - start < 1.0
 
 
 def test_large_batch_order_preserved(worker_cmd):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from delcert import pattern_probability, sample_masking, tokenize
+from delcert import masking_keep_matrix, pattern_probability, tokenize
 from delcert.certify import vote_counts
 from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
 from delcert.rng import RandomStream
@@ -146,34 +146,68 @@ def test_equal_seeds_equal_patterns():
 
 
 def test_masking_degenerate_rates():
-    x = tokenize("w x y z")
     rng = RandomStream(1).child(0).generator()
-    assert sample_masking(x, 0.0, rng=rng) == x
-    assert sample_masking(x, 1.0, rng=rng).tokens == ("[MASK]",) * 4
+    assert masking_keep_matrix(3, 4, 0.0, rng).all()
+    assert masking_keep_matrix(2, 5, 0.09, rng).all()  # round(0.45) is 0
+    assert masking_keep_matrix(4, 0, 0.5, rng).shape == (4, 0)
+    # nothing masked, nothing drawn
+    fresh = RandomStream(1).child(0).generator()
+    assert (rng.bit_generator.random_raw(4) == fresh.bit_generator.random_raw(4)).all()
+    assert not masking_keep_matrix(3, 4, 1.0, rng).any()
+    for rate in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            masking_keep_matrix(1, 4, rate, rng)
 
 
 def test_masking_preserves_length_and_unmasked():
-    x = tokenize("w x y z")
+    # a column per token, and exactly k cells of each row masked
     rng = RandomStream(1).child(0).generator()
-    for _ in range(100):
-        m = sample_masking(x, 0.5, rng=rng)
-        assert len(m) == len(x)
-        assert sum(t == "[MASK]" for t in m.tokens) == 2
-        for orig, new in zip(x.tokens, m.tokens):
-            assert new in (orig, "[MASK]")
+    for n, p_mask, k in ((4, 0.5, 2), (5, 0.5, 3), (7, 0.3, 2), (10, 0.05, 1), (3, 0.99, 3)):
+        keep = masking_keep_matrix(200, n, p_mask, rng)
+        assert keep.shape == (200, n) and keep.dtype == bool
+        assert ((~keep).sum(axis=1) == k).all(), (n, p_mask)
+
+
+def test_masking_matches_per_row_choice():
+    # row i masks the positions of the i-th rng.choice(n, k, replace=False)
+    # call, and the generator ends where those calls leave it
+    for shape, p_mask in (((16, 5), 0.5), ((3, 7), 0.3), ((1, 1), 1.0), ((0, 4), 0.5), ((9, 12), 0.9)):
+        g1 = RandomStream(7).child(3).generator()
+        g2 = RandomStream(7).child(3).generator()
+        rows, n = shape
+        k = int(p_mask * n + 0.5)
+        expected = np.ones(shape, dtype=bool)
+        for i in range(rows):
+            for pos in g1.choice(n, size=k, replace=False).tolist():
+                expected[i, pos] = False
+        assert (masking_keep_matrix(rows, n, p_mask, g2) == expected).all(), shape
+        assert (g1.bit_generator.random_raw(4) == g2.bit_generator.random_raw(4)).all()
 
 
 def test_masking_uniform_subsets():
-    x = tokenize("t0 t1 t2 t3")
     rng = RandomStream(7).child(1).generator()
-    counts: dict[tuple, int] = {}
-    for _ in range(60_000):
-        m = sample_masking(x, 0.5, rng=rng)
-        key = tuple(i for i, t in enumerate(m.tokens) if t == "[MASK]")
-        counts[key] = counts.get(key, 0) + 1
-    observed = [counts.get(s, 0) for s in itertools.combinations(range(4), 2)]
-    assert len(observed) == 6 and min(observed) > 0
-    assert chisquare(observed).pvalue > 0.01
+    keep = masking_keep_matrix(60_000, 4, 0.5, rng)
+    idx = (~keep).astype(int) @ (1 << np.arange(4))
+    observed = np.bincount(idx, minlength=16)
+    pairs = [sum(1 << i for i in s) for s in itertools.combinations(range(4), 2)]
+    assert observed.sum() == observed[pairs].sum()  # two cells masked in every row
+    assert observed[pairs].min() > 0
+    assert chisquare(observed[pairs]).pvalue > 0.01
+
+
+def test_masking_texts_fill_masked_cells():
+    # the texts are the input with two of its five tokens shown as the mask
+    # token, each of the C(5, 2) subsets classified once
+    for text, scheme in (("t0 t1 t2 t3 t4", "whitespace"), ("abcde", "character")):
+        x = tokenize(text, scheme)
+        recorder = RecordingClassifier()
+        mech = MechanismParams(MechanismKind.MASKING, 0.4)
+        vote_counts(recorder, x, mech, 200, RandomStream(3).child(0).generator())
+        expected = {
+            x.scheme.separator.join("[MASK]" if i in s else t for i, t in enumerate(x.tokens))
+            for s in itertools.combinations(range(5), 2)
+        }
+        assert len(recorder.texts) == 10 and set(recorder.texts) == expected
 
 
 def test_perturb_dispatch():
