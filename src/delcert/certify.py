@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .classifier import BaseClassifier, BuiltinModel, classify_texts
 from .edit_metrics import (
@@ -203,7 +203,7 @@ def clopper_pearson_lower(successes: int, n: int, level: float) -> float:
         raise ValueError("successes out of range")
     if successes == 0:
         return 0.0
-    return float(_beta.ppf(level, successes, n - successes + 1))
+    return float(betaincinv(successes, n - successes + 1, level))
 
 
 def clopper_pearson_upper(successes: int, n: int, level: float) -> float:
@@ -212,7 +212,7 @@ def clopper_pearson_upper(successes: int, n: int, level: float) -> float:
         raise ValueError("successes out of range")
     if successes == n:
         return 1.0
-    return float(_beta.ppf(1.0 - level, successes + 1, n - successes))
+    return float(betaincinv(successes + 1, n - successes, 1.0 - level))
 
 
 def score_bounds(est: ScoreEstimate, alpha: float, mode: str = "bonferroni-cp") -> ScoreBounds:

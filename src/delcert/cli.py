@@ -151,8 +151,13 @@ def _mechanism(opts: _Opts) -> MechanismParams:
 @contextlib.contextmanager
 def _classifier(opts: _Opts):
     """The base classifier: a child started from ``--external-cmd``, closed
-    on exit, or else the built-in model in ``--model``."""
+    on exit, or else the built-in model in ``--model``.  A flag the chosen
+    classifier would ignore is a usage error."""
     external_cmd = opts.get("external_cmd")
+    if opts.args.get("model") and opts.args.get("external_cmd"):
+        raise UsageError("--model and --external-cmd exclude each other")
+    if opts.args.get("num_classes") is not None and not external_cmd:
+        raise UsageError("--num-classes applies only to an --external-cmd classifier")
     if not external_cmd:
         model_path = opts.get("model")
         if not model_path:
@@ -530,7 +535,7 @@ _FLAGS: dict[str, dict] = {
     "--length": dict(type=_NATURAL),
     "--radius": dict(type=_NATURAL),
     "--which": dict(choices=["hamming", "lower", "exact", "all"], default="all"),
-    "--exact": dict(action="store_true", help="include the automaton exact count"),
+    "--exact": dict(action="store_true", help="include the exact ball count"),
     "--tokens": dict(help="whitespace-separated pattern for the exact count"),
     "--kind": dict(choices=["deletion", "insertion", "both"], default="deletion"),
     "--r-r-cap": dict(type=_FINITE_NONNEG),

@@ -29,7 +29,8 @@ from .tokenization import TokenSeq
 _BALL_MAX_LEN = 8
 _BALL_MAX_ALPHABET = 4
 
-#: scale guard for the counting automaton
+#: scale guards for the exact ball counter (its capped DP rows are the
+#: states of a Levenshtein automaton)
 _AUTOMATON_MAX_RADIUS = 16
 _AUTOMATON_MAX_STATES = 500_000
 
@@ -270,111 +271,51 @@ def lev_ball_cardinality_lower_bound(params: CardinalityParams) -> int:
     return total
 
 
-class _CountingAutomaton:
-    """Determinized Levenshtein automaton used for exact ball counting.
-
-    States are antichains of (consumed, errors) pairs; the input
-    alphabet is collapsed into one class per distinct token of the
-    pattern plus a single class for the remaining ``v - k`` tokens,
-    which all behave identically.
-    """
-
-    def __init__(self, x_ids: Sequence[int], num_classes: int, radius: int):
-        self.x = list(x_ids)
-        self.n = len(self.x)
-        self.r = radius
-        # class id == token id for pattern tokens; num_classes-1 is "other"
-        self.match_positions = [
-            tuple(i for i, t in enumerate(self.x) if t == c) for c in range(num_classes)
-        ]
-        start = self._prune({(0, 0)})
-        self.states: dict[tuple, int] = {start: 0}
-        self.state_list: list[tuple] = [start]
-        self.transitions: dict[tuple[int, int], int | None] = {}
-
-    def _prune(self, states: set[tuple[int, int]]) -> tuple:
-        kept = []
-        for j, f in sorted(states):
-            if not any(
-                (i, e) != (j, f) and f - e >= abs(i - j) for i, e in states
-            ):
-                kept.append((j, f))
-        return tuple(kept)
-
-    def _step_set(self, states: tuple, cls: int) -> tuple:
-        nxt: set[tuple[int, int]] = set()
-        matches = self.match_positions[cls]
-        for i, e in states:
-            if e + 1 <= self.r:
-                nxt.add((i, e + 1))  # consume the symbol as an insertion
-                if i < self.n:
-                    nxt.add((i + 1, e + 1))  # substitution
-            for pos in matches:
-                if pos < i:
-                    continue
-                k = pos - i  # delete k pattern tokens, then match
-                if e + k > self.r:
-                    continue
-                nxt.add((pos + 1, e + k))
-        return self._prune(nxt)
-
-    def step(self, state_id: int, cls: int) -> int | None:
-        key = (state_id, cls)
-        if key not in self.transitions:
-            nxt = self._step_set(self.state_list[state_id], cls)
-            if not nxt:
-                self.transitions[key] = None
-            else:
-                if nxt not in self.states:
-                    if len(self.states) >= _AUTOMATON_MAX_STATES:
-                        raise GuardError("automaton state guard exceeded")
-                    self.states[nxt] = len(self.state_list)
-                    self.state_list.append(nxt)
-                self.transitions[key] = self.states[nxt]
-        return self.transitions[key]
-
-    def is_accepting(self, state_id: int) -> bool:
-        return any(self.n - i + e <= self.r for i, e in self.state_list[state_id])
-
-
 def lev_ball_cardinality_exact(x: TokenSeq, vocab_size: int, radius: int) -> int:
     """Exact cardinality of the radius-``radius`` unconstrained edit ball.
 
-    Counts accepted words of length up to ``|x| + radius`` in the
-    determinized automaton, weighting each symbol class by the number of
-    vocabulary tokens it represents.  Exact big-integer arithmetic.
+    Counts words of length up to ``|x| + radius`` by their DP row against
+    ``x``, capped at ``radius + 1`` (the states of a Levenshtein
+    automaton, Schulz & Mihov 2002).  The vocabulary collapses into one
+    symbol class per distinct token of ``x`` plus one class for the
+    remaining ``v - k`` tokens, which all step a row alike; each class
+    weighs the number of tokens it stands for.  Exact big-integer
+    arithmetic.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     if radius > _AUTOMATON_MAX_RADIUS:
         raise GuardError(f"radius {radius} exceeds automaton guard {_AUTOMATON_MAX_RADIUS}")
     distinct: dict[str, int] = {}
-    x_ids = []
-    for tok in x.tokens:
-        if tok not in distinct:
-            distinct[tok] = len(distinct)
-        x_ids.append(distinct[tok])
+    x_ids = [distinct.setdefault(tok, len(distinct)) for tok in x.tokens]
     k = len(distinct)
     if vocab_size < max(k, 1):
         raise ValueError(f"vocab_size {vocab_size} smaller than the {k} distinct tokens of x")
-    # classes 0..k-1 are the pattern tokens; class k stands for all others
-    weights = [1] * k + [vocab_size - k]
-    auto = _CountingAutomaton(x_ids, k + 1, radius)
-    frontier: dict[int, int] = {0: 1}
-    total = 0
-    for ell in range(len(x) + radius + 1):
-        total += sum(w for sid, w in frontier.items() if auto.is_accepting(sid))
-        if ell == len(x) + radius:
-            break
-        nxt: dict[int, int] = {}
-        for sid, w in frontier.items():
-            for cls, weight in enumerate(weights):
-                if weight == 0:
-                    continue
-                tid = auto.step(sid, cls)
-                if tid is not None:
-                    nxt[tid] = nxt.get(tid, 0) + w * weight
+    # class c < k is the token with id c; class k stands for all others
+    classes = [(c, 1) for c in range(k)] + ([(k, vocab_size - k)] if vocab_size > k else [])
+    cap = radius + 1
+    start = tuple(min(j, cap) for j in range(len(x_ids) + 1))
+    rows = {start}
+    # the live rows one symbol away from a row, with their class weights
+    moves: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    frontier = {start: 1}
+    total = int(len(x_ids) <= radius)  # the empty word
+    for _ in range(len(x_ids) + radius):
+        nxt: dict[tuple[int, ...], int] = {}
+        for row, w in frontier.items():
+            if row not in moves:
+                moves[row] = []
+                for c, weight in classes:
+                    step = tuple(kernels.edit_row_step(row, c, x_ids, True, True, True, cap))
+                    if min(step) > radius:
+                        continue  # no extension of the word can reach the ball
+                    if step not in rows:
+                        if len(rows) >= _AUTOMATON_MAX_STATES:
+                            raise GuardError("automaton state guard exceeded")
+                        rows.add(step)
+                    moves[row].append((step, weight))
+            for step, weight in moves[row]:
+                nxt[step] = nxt.get(step, 0) + w * weight
         frontier = nxt
-        if not frontier:
-            break
+        total += sum(w for row, w in frontier.items() if row[-1] <= radius)
     return total

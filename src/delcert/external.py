@@ -123,31 +123,3 @@ class ExternalClassifier:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class ExternalClassifierPool:
-    """N worker processes for parallel batches; round-robin dispatch."""
-
-    def __init__(self, cmd: str | Sequence[str], num_classes: int, size: int = 2, timeout: float = 60.0):
-        if size < 1:
-            raise ValueError("pool size must be >= 1")
-        self.num_classes = int(num_classes)
-        self._workers = [ExternalClassifier(cmd, num_classes, timeout) for _ in range(size)]
-        self._rr = 0
-        self._rr_lock = threading.Lock()
-
-    def classify_batch(self, texts: Sequence[str]) -> list[int]:
-        with self._rr_lock:
-            worker = self._workers[self._rr % len(self._workers)]
-            self._rr += 1
-        return worker.classify_batch(texts)
-
-    def close(self) -> None:
-        for w in self._workers:
-            w.close()
-
-    def __enter__(self) -> "ExternalClassifierPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -2,10 +2,13 @@
 
 ``edit_distance_ids`` runs a scalar pure-Python DP for one pair (the
 small pairs of the CLI, the attacks and the tests, where numpy's per-call
-cost would dominate) and a numpy row recurrence when ``a`` is a 2-D array
-of equal-length candidates (the brute-force ball filter).  The row
-recurrence returns the distance of every prefix of every row, so one
-call on the longest candidates also serves all shorter ones.
+cost would dominate), one :func:`edit_row_step` per id of ``a``, and a
+numpy row recurrence when ``a`` is a 2-D array of equal-length
+candidates (the brute-force ball filter).  The numpy recurrence returns
+the distance of every prefix of every row, so one call on the longest
+candidates also serves all shorter ones.  The exact ball counter of
+:mod:`~delcert.edit_metrics` steps capped rows with
+:func:`edit_row_step` too.
 """
 
 from __future__ import annotations
@@ -32,23 +35,39 @@ def edit_distance_ids(a, b: Sequence[int], allow_del: bool, allow_ins: bool, all
     """
     if isinstance(a, np.ndarray) and a.ndim == 2:
         return _edit_distance_rows(a, b, allow_del, allow_ins, allow_sub)
-    n, m = len(a), len(b)
-    prev = list(range(m + 1)) if allow_ins else [0] + [INF] * m
-    cur = [0] * (m + 1)
-    for i in range(1, n + 1):
-        ai = a[i - 1]
-        cur[0] = i if allow_del else INF
-        for j in range(1, m + 1):
-            best = prev[j - 1] if ai == b[j - 1] else INF
-            if allow_sub and ai != b[j - 1] and prev[j - 1] + 1 < best:
-                best = prev[j - 1] + 1
-            if allow_del and prev[j] + 1 < best:
-                best = prev[j] + 1
-            if allow_ins and cur[j - 1] + 1 < best:
-                best = cur[j - 1] + 1
-            cur[j] = best
-        prev, cur = cur, prev
-    return prev[m] if prev[m] < INF else -1
+    m = len(b)
+    row = list(range(m + 1)) if allow_ins else [0] + [INF] * m
+    for ai in a:
+        row = edit_row_step(row, ai, b, allow_del, allow_ins, allow_sub)
+    return row[m] if row[m] < INF else -1
+
+
+def edit_row_step(prev, ai, b, allow_del: bool, allow_ins: bool, allow_sub: bool, cap=None):
+    """One row of the scalar DP: ``prev`` holds the distances from some
+    prefix of ``a`` to every prefix of ``b``, and the result holds them
+    once ``ai`` is appended to that prefix.
+
+    With ``cap``, every cell of the result is capped at ``cap``.  Each cell
+    is a minimum of earlier cells plus non-negative costs, so capping
+    every row gives the true distances capped at ``cap``.
+    """
+    left = prev[0] + 1 if allow_del else INF
+    cur = [left]
+    append = cur.append
+    for bj, diag, up in zip(b, prev, prev[1:]):
+        if ai == bj:
+            best = diag
+        else:
+            best = diag + 1 if allow_sub else INF
+        if allow_del and up + 1 < best:
+            best = up + 1
+        if allow_ins and left + 1 < best:
+            best = left + 1
+        append(best)
+        left = best
+    if cap is not None:
+        cur = [v if v < cap else cap for v in cur]
+    return cur
 
 
 def _edit_distance_rows(a: np.ndarray, b, allow_del, allow_ins, allow_sub) -> np.ndarray:

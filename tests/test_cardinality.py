@@ -15,6 +15,7 @@ from delcert import (
     lev_ball_cardinality_exact,
     lev_ball_cardinality_lower_bound,
 )
+from delcert import edit_metrics
 from delcert.edit_metrics import EditOpsSet, supersequence_count
 from delcert.errors import GuardError
 
@@ -78,6 +79,30 @@ def test_exact_guard_and_vocab_check():
         lev_ball_cardinality_exact(TokenSeq(("a",), W), 5, 17)
     with pytest.raises(ValueError):
         lev_ball_cardinality_exact(TokenSeq(("a", "b", "c"), W), 2, 1)
+
+
+@pytest.mark.parametrize(
+    "tokens, v, r, count",
+    [
+        (("a", "b") * 8, 50265, 8, 679008043221714372891587661256335535609341046),
+        (("a", "b", "c") * 3, 3, 4, 91732),
+        (tuple(f"t{i}" for i in range(5)) * 2, 7, 4, 9516296),
+    ],
+    ids=["ab-x8", "abc-x3", "t0-t4-x2"],
+)
+def test_exact_pinned_beyond_enumeration(tokens, v, r, count):
+    """Counts past enumerate_ball's guard, pinned from the antichain
+    automaton the row counter replaced."""
+    assert lev_ball_cardinality_exact(TokenSeq(tokens, W), v, r) == count
+
+
+def test_exact_state_guard_boundary(monkeypatch):
+    x = TokenSeq(("a", "b") * 8, W)
+    monkeypatch.setattr(edit_metrics, "_AUTOMATON_MAX_STATES", 3436)
+    assert lev_ball_cardinality_exact(x, 50265, 8) > 0
+    monkeypatch.setattr(edit_metrics, "_AUTOMATON_MAX_STATES", 3435)
+    with pytest.raises(GuardError, match="state guard"):
+        lev_ball_cardinality_exact(x, 50265, 8)
 
 
 def test_exact_matches_enumeration_sweep():

@@ -1,6 +1,8 @@
 import importlib
 import itertools
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -74,6 +76,17 @@ def test_cp_against_beta_quantiles():
         else:
             assert hi == 1.0
         assert 0.0 <= lo <= k / n <= hi <= 1.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; the bounds need only
+    # scipy.special's betaincinv, which beta.ppf matches bit for bit
+    src = os.path.dirname(os.path.dirname(importlib.import_module("delcert").__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, delcert; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # -- score_bounds ------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from delcert import FULL_OPS, LabeledDataset, Scheme, edit_distance, tokenize
+from delcert import cli
 from delcert.cli import main
 
 from conftest import marker_presence_dataset
@@ -526,9 +527,16 @@ def _exit_code(argv) -> int:
         ["certify", "--config", "alpha=2"],
         ["train", "--config", "mechanism=noise"],
         ["attack", "--config", "timeout_seconds=0"],
+        # classifier flags the chosen classifier would ignore (--model is added below)
+        ["certify", "--external-cmd", "never-started"],
+        ["predict", "--num-classes", "3"],
     ],
 )
-def test_invalid_option_value_exit_2(trained, argv, capsys):
+def test_invalid_option_value_exit_2(trained, argv, capsys, monkeypatch):
+    def no_child(*args, **kwargs):
+        raise AssertionError("a classifier child was started")
+
+    monkeypatch.setattr(cli, "ExternalClassifier", no_child)
     model_path, test_path, tmp_path = trained
     command, *rest = argv
     if rest[0] == "--config":

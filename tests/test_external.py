@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delcert.errors import TransportError
-from delcert.external import ExternalClassifier, ExternalClassifierPool
+from delcert.external import ExternalClassifier
 
 
 def test_echo_classifier(worker_cmd):
@@ -88,10 +88,3 @@ def test_large_batch_order_preserved(worker_cmd):
     with ExternalClassifier(worker_cmd("length"), num_classes=2) as clf:
         labels = clf.classify_batch(texts)
     assert labels == [len(t) % 2 for t in texts]
-
-
-def test_pool_round_robin(worker_cmd):
-    with ExternalClassifierPool(worker_cmd("length"), num_classes=2, size=3) as pool:
-        for _ in range(6):
-            assert pool.classify_batch(["xy"]) == [0]
-            assert pool.classify_batch(["xyz"]) == [1]
