@@ -91,12 +91,12 @@ def test_exact_guard_and_vocab_check():
     ids=["ab-x8", "abc-x3", "t0-t4-x2"],
 )
 def test_exact_pinned_beyond_enumeration(tokens, v, r, count):
-    """Counts past enumerate_ball's guard, pinned from the antichain
-    automaton the row counter replaced."""
+    # past enumerate_ball's guard, so no sweep checks these sizes
     assert lev_ball_cardinality_exact(TokenSeq(tokens, W), v, r) == count
 
 
 def test_exact_state_guard_boundary(monkeypatch):
+    # this count reaches exactly 3,436 distinct capped rows
     x = TokenSeq(("a", "b") * 8, W)
     monkeypatch.setattr(edit_metrics, "_AUTOMATON_MAX_STATES", 3436)
     assert lev_ball_cardinality_exact(x, 50265, 8) > 0
