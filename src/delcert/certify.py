@@ -38,7 +38,7 @@ from .edit_metrics import (
     EditOpsSet,
     lev_ball_cardinality_lower_bound,
 )
-from .mechanisms import DEFAULT_MASK_TOKEN, MechanismKind, MechanismParams
+from .mechanisms import MechanismKind, MechanismParams
 from .mechanisms import deletion_keep_matrix, masking_keep_matrix
 from .rng import RandomStream, text_fingerprint
 from .tokenization import Scheme, TokenSeq, tokenize
@@ -71,10 +71,6 @@ class ScoreEstimate:
     def __post_init__(self) -> None:
         if sum(self.counts) != self.num_samples:
             raise ValueError("vote counts must sum to num_samples")
-
-    @property
-    def fractions(self) -> tuple[float, ...]:
-        return tuple(c / self.num_samples for c in self.counts)
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ def vote_counts(
         contrib = model.log_likelihood[model.token_rows(x.tokens)]  # (n, C)
         labels = np.argmax(keep.astype(np.float64) @ contrib + model.log_prior, axis=1)
     else:
-        labels = _keep_labels(model, x, keep, None if deletion else DEFAULT_MASK_TOKEN)
+        labels = _keep_labels(model, x, keep, None if deletion else x.scheme.mask_token)
     return np.bincount(labels, minlength=model.num_classes)
 
 

@@ -16,7 +16,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .errors import DataFormatError
-from .mechanisms import DEFAULT_MASK_TOKEN, MechanismKind, MechanismParams
+from .mechanisms import MechanismKind, MechanismParams
 from .mechanisms import deletion_keep_matrix, masking_keep_matrix
 from .rng import RandomStream
 from .tokenization import Scheme, split_tokens, tokenize
@@ -224,7 +224,7 @@ def train_builtin(
 
     Each training text contributes ``samples_per_instance`` independent
     perturbed copies, the rows of one keep matrix: a copy counts its kept
-    tokens and, under masking, one mask token per masked cell.  With a
+    tokens and, under masking, one ``scheme.mask_token`` per masked cell.  With a
     zero-rate mechanism and one copy this is exactly clean training.
     Deterministic given the stream seed.
     """
@@ -250,7 +250,7 @@ def train_builtin(
             if times:
                 counts[label][tok] += times
         if masking and not keep.all():
-            counts[label][DEFAULT_MASK_TOKEN] += keep.size - int(keep.sum())
+            counts[label][scheme.mask_token] += keep.size - int(keep.sum())
         class_doc_counts[label] += samples_per_instance
 
     tokens = tuple(sorted(set().union(*counts)))

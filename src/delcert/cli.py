@@ -5,8 +5,10 @@ Datasets are newline-delimited JSON ({"text": ..., "label": ...}) or CSV
 with a text,label header.  Records and curves are emitted as CSV with a
 header; attack reports as JSON.  Every command taking ``--seed`` is
 bit-reproducible.  Each subcommand takes only the flags it reads
-(``_COMMANDS``).  Flag values override config-file values, which
-override defaults; a config key the command does not read is ignored.
+(``_COMMANDS``).  The values of a ``--config`` file become the
+subcommand's defaults, so a flag wins over the config and the config over
+the built-in default; a config key the command does not take is ignored,
+and a required flag goes on the command line only.
 Exit codes: 0 success, 2 usage (including an invalid option value),
 3 data error, 4 guard/scale error.
 """
@@ -44,72 +46,43 @@ from .tokenization import Scheme, TokenSeq, tokenize
 
 _OPS_COLUMNS = [(ops, f"radius_{ops.letters}") for ops in ALL_OPS_SETS]
 
-DEFAULTS: dict[str, object] = {
-    "mechanism": "deletion",
-    "rate": 0.9,
-    "n_pred": 1000,
-    "n_cert": 4000,
-    "alpha": 0.05,
-    "prediction_samples": 100,
-    "vocab_size": 50265,
-    "seed": 0,
-    "ops": "dis",
-    "timeout_seconds": 600.0,
-    "max_queries": 10000,
-    "candidates_per_position": 8,
-    "samples_per_instance": 8,
-    "scheme": "whitespace",
-    "bound_mode": "bonferroni-cp",
-    "jobs": 1,
-    "recipe": "greedy_substitute",
-    "target": "smoothed",
-    "num_classes": 2,
-}
-
 
 # ---------------------------------------------------------------------------
 # config and dataset I/O
 # ---------------------------------------------------------------------------
 
 
-def _read_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_defaults(command: str, path: str) -> dict[str, object]:
+    """The options of ``command`` that the flat ``key=value`` file at
+    ``path`` sets, each converted and checked like its flag; keys the
+    command does not take are skipped."""
+    flags = _COMMANDS[command][2].split()
+    defaults: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-class _Opts:
-    """Resolves option values with precedence flag > config > default.
-
-    Config values are parsed and checked like the flag they stand for;
-    ``get(key, {})`` is None for an option that neither sets.
-    """
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.config = _read_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, defaults: dict = DEFAULTS):
-        if self.args.get(key) is not None:
-            return self.args[key]
-        if key not in self.config:
-            return defaults.get(key)
-        spec = _FLAGS["--" + key.replace("_", "-")]
+        lines = list(fh)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}:{lineno}: expected key=value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        flag = "--" + key.replace("_", "-")
+        if flag + "!" in flags:
+            raise UsageError(f"config {key}: {flag} is required and goes on the command line")
+        if flag not in flags:
+            continue
+        spec = _FLAGS[flag]
+        cast = _SWITCH if spec.get("action") == "store_true" else spec.get("type", str)
         try:
-            value = spec.get("type", str)(self.config[key])
+            value = cast(raw)
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"config {key}: {exc}") from None
         if value not in spec.get("choices", [value]):
             raise UsageError(f"config {key}: expected one of {spec['choices']}, got {value!r}")
-        return value
+        defaults[key] = value
+    return defaults
 
 
 def load_dataset(path: str) -> LabeledDataset:
@@ -144,56 +117,53 @@ def load_dataset(path: str) -> LabeledDataset:
     return LabeledDataset.from_pairs(pairs)
 
 
-def _mechanism(opts: _Opts) -> MechanismParams:
-    return MechanismParams(MechanismKind(opts.get("mechanism")), opts.get("rate"))
+def _mechanism(args: argparse.Namespace) -> MechanismParams:
+    return MechanismParams(MechanismKind(args.mechanism), args.rate)
 
 
 @contextlib.contextmanager
-def _classifier(opts: _Opts):
+def _classifier(args: argparse.Namespace):
     """The base classifier: a child started from ``--external-cmd``, closed
-    on exit, or else the built-in model in ``--model``.  A flag the chosen
-    classifier would ignore is a usage error."""
-    external_cmd = opts.get("external_cmd")
-    if opts.args.get("model") and opts.args.get("external_cmd"):
+    on exit, or else the built-in model in ``--model``.  An option the
+    chosen classifier would ignore is a usage error."""
+    if args.model and args.external_cmd:
         raise UsageError("--model and --external-cmd exclude each other")
-    if opts.args.get("num_classes") is not None and not external_cmd:
+    if args.num_classes is not None and not args.external_cmd:
         raise UsageError("--num-classes applies only to an --external-cmd classifier")
-    if not external_cmd:
-        model_path = opts.get("model")
-        if not model_path:
+    if not args.external_cmd:
+        if not args.model:
             raise UsageError("either --model or --external-cmd is required")
-        yield BuiltinModel.load(model_path)
+        yield BuiltinModel.load(args.model)
         return
     try:
-        model = ExternalClassifier(external_cmd, num_classes=opts.get("num_classes"))
+        model = ExternalClassifier(args.external_cmd, num_classes=args.num_classes or 2)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot start --external-cmd {external_cmd!r}: {exc}") from exc
+        raise UsageError(f"cannot start --external-cmd {args.external_cmd!r}: {exc}") from exc
     try:
         yield model
     finally:
         model.close()
 
 
-def _input_scheme(model, opts: _Opts) -> Scheme:
+def _input_scheme(model, args: argparse.Namespace) -> Scheme:
     """The built-in model's own scheme, which ``--scheme`` may only repeat;
-    else ``--scheme``."""
+    else (any other ``model``, or None) ``--scheme``, by default whitespace."""
     if not isinstance(model, BuiltinModel):
-        return Scheme(opts.get("scheme"))
-    given = opts.get("scheme", {})
-    if given not in (None, model.scheme.value):
-        raise UsageError(f"--scheme {given} contradicts the {model.scheme.value}-scheme model")
+        return Scheme(args.scheme or Scheme.WHITESPACE)
+    if args.scheme not in (None, model.scheme.value):
+        raise UsageError(f"--scheme {args.scheme} contradicts the {model.scheme.value}-scheme model")
     return model.scheme
 
 
-def _make_target(opts: _Opts, model, scheme: Scheme):
+def _make_target(args: argparse.Namespace, model, scheme: Scheme):
     """The attacked classifier: ``model`` itself, or smoothed around it."""
-    if opts.get("target") == "base":
+    if args.target == "base":
         return model
     return SmoothedPredictor(
         model,
-        _mechanism(opts),
-        n_samples=opts.get("prediction_samples"),
-        stream=RandomStream(opts.get("seed")),
+        _mechanism(args),
+        n_samples=args.prediction_samples,
+        stream=RandomStream(args.seed),
         scheme=scheme,
     )
 
@@ -212,14 +182,13 @@ def _write_text(path: str | None, content: str) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opts = _Opts(args)
     data = load_dataset(args.data)
     model = train_builtin(
         data,
-        _mechanism(opts),
-        samples_per_instance=opts.get("samples_per_instance"),
-        stream=RandomStream(opts.get("seed")),
-        scheme=Scheme(opts.get("scheme")),
+        _mechanism(args),
+        samples_per_instance=args.samples_per_instance,
+        stream=RandomStream(args.seed),
+        scheme=_input_scheme(None, args),
     )
     model.save(args.out)
     print(f"trained on {len(data)} instances; vocabulary {len(model.tokens)}; wrote {args.out}")
@@ -227,20 +196,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    opts = _Opts(args)
     data = load_dataset(args.data)
-    mech = _mechanism(opts)
-    n_pred = opts.get("n_pred")
-    stream = RandomStream(opts.get("seed"))
+    mech = _mechanism(args)
+    stream = RandomStream(args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["instance", "true_label", "predicted"])
     correct = 0
-    with _classifier(opts) as model:
-        scheme = _input_scheme(model, opts)
+    with _classifier(args) as model:
+        scheme = _input_scheme(model, args)
         for idx, (text, label) in enumerate(data.items):
             x = tokenize(text, scheme)
-            pred, _ = smoothed_predict(model, x, mech, n_pred, stream.child(idx, 0).generator())
+            pred, _ = smoothed_predict(model, x, mech, args.n_pred, stream.child(idx, 0).generator())
             correct += int(pred == label)
             writer.writerow([idx, label, pred])
     _write_text(args.out, buf.getvalue())
@@ -249,35 +216,26 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    opts = _Opts(args)
-    rate = opts.get("rate")
-    if not 0.0 < rate < 1.0:
-        raise UsageError(f"certify needs a rate strictly between 0 and 1, got {rate!r}")
-    mech = MechanismParams(MechanismKind.DELETION, rate)
-    n_pred, n_cert = opts.get("n_pred"), opts.get("n_cert")
-    settings = dict(
-        n_pred=n_pred,
-        n_cert=n_cert,
-        alpha=opts.get("alpha"),
-        vocab_size=opts.get("vocab_size"),
-        bound_mode=opts.get("bound_mode"),
-    )
-    stream = RandomStream(opts.get("seed"))
-    jobs = opts.get("jobs")
-    ops_sel = EditOpsSet.from_letters(opts.get("ops"))
+    if not 0.0 < args.rate < 1.0:
+        raise UsageError(f"certify needs a rate strictly between 0 and 1, got {args.rate!r}")
+    mech = MechanismParams(MechanismKind.DELETION, args.rate)
+    stream = RandomStream(args.seed)
+    ops_sel = EditOpsSet.from_letters(args.ops)
     data = load_dataset(args.data)
 
-    with _classifier(opts) as model:
-        scheme = _input_scheme(model, opts)
+    with _classifier(args) as model:
+        scheme = _input_scheme(model, args)
 
         def one(item):
             idx, (text, _) = item
             x = tokenize(text, scheme)
-            return certify(model, x, mech, stream=stream.child(idx), **settings)
+            return certify(model, x, mech, n_pred=args.n_pred, n_cert=args.n_cert, alpha=args.alpha,
+                           vocab_size=args.vocab_size, bound_mode=args.bound_mode,
+                           stream=stream.child(idx))
 
         work = list(enumerate(data.items))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
+        if args.jobs > 1:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 certs = list(pool.map(one, work))
         else:
             certs = [one(w) for w in work]
@@ -294,7 +252,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             [idx, label, cert.predicted, int(cert.abstained)]
             + [cert.radius_by_ops[ops] for ops, _ in _OPS_COLUMNS]
             + [repr(cert.log10_cardinality_lb), repr(cert.bounds.mu_y)]
-            + [repr(cert.bounds.mu_yprime), n_pred, n_cert]
+            + [repr(cert.bounds.mu_yprime), args.n_pred, args.n_cert]
         )
     _write_text(args.out, buf.getvalue())
 
@@ -337,9 +295,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_cardinality(args: argparse.Namespace) -> int:
-    opts = _Opts(args)
     n = args.length
-    v = opts.get("vocab_size")
+    v = args.vocab_size
     r = args.radius
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -415,32 +372,31 @@ def _report_to_json(report: atk.AttackReport, meta: dict) -> str:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    opts = _Opts(args)
     data = load_dataset(args.data)
     recipe = atk.AttackRecipe(
-        kind=opts.get("recipe"),
-        candidates_per_position=opts.get("candidates_per_position"),
-        max_queries=opts.get("max_queries"),
-        timeout_seconds=opts.get("timeout_seconds"),
+        kind=args.recipe,
+        candidates_per_position=args.candidates_per_position,
+        max_queries=args.max_queries,
+        timeout_seconds=args.timeout_seconds,
     )
-    with _classifier(opts) as model:
-        scheme = _input_scheme(model, opts)
-        target = _make_target(opts, model, scheme)
+    with _classifier(args) as model:
+        scheme = _input_scheme(model, args)
+        target = _make_target(args, model, scheme)
         if args.lexicon:
             lexicon = atk.load_lexicon(args.lexicon)
         elif isinstance(model, BuiltinModel):
             lexicon = atk.lexicon_from_model(model)
         else:
             lexicon = atk.lexicon_from_dataset(data, scheme=scheme)
-        report = atk.run_attack(target, data, recipe, lexicon, scheme=scheme, jobs=opts.get("jobs"))
+        report = atk.run_attack(target, data, recipe, lexicon, scheme=scheme, jobs=args.jobs)
     meta = {
         "mode": "direct",
         "recipe": asdict(recipe),
-        "seed": opts.get("seed"),
-        "target": opts.get("target"),
-        "mechanism": opts.get("mechanism"),
-        "rate": opts.get("rate"),
-        "prediction_samples": opts.get("prediction_samples"),
+        "seed": args.seed,
+        "target": args.target,
+        "mechanism": args.mechanism,
+        "rate": args.rate,
+        "prediction_samples": args.prediction_samples,
     }
     _write_text(args.out, _report_to_json(report, meta))
     print(f"clean_accuracy={report.clean_accuracy!r}")
@@ -463,15 +419,14 @@ def _report_from_json(path: str) -> atk.AttackReport:
 
 
 def cmd_transfer(args: argparse.Namespace) -> int:
-    opts = _Opts(args)
     source = _report_from_json(args.source_report)
-    with _classifier(opts) as model:
-        report = atk.transfer_attack(source, _make_target(opts, model, _input_scheme(model, opts)))
+    with _classifier(args) as model:
+        report = atk.transfer_attack(source, _make_target(args, model, _input_scheme(model, args)))
     meta = {
         "mode": "transfer",
         "source_report": args.source_report,
-        "seed": opts.get("seed"),
-        "target": opts.get("target"),
+        "seed": args.seed,
+        "target": args.target,
     }
     _write_text(args.out, _report_to_json(report, meta))
     print(f"transferred={len(report.outcomes)}")
@@ -500,11 +455,15 @@ def _option(cast, ok, expected: str):
     return parse
 
 
+#: a switch (a ``store_true`` flag) as a config file spells it
+_SWITCH = _option({"true": True, "false": False}.get, lambda v: v is not None, "true or false")
 _COUNT = _option(int, lambda v: v >= 1, "an integer >= 1")
 _NATURAL = _option(int, lambda v: v >= 0, "an integer >= 0")
 _FINITE_NONNEG = _option(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
-#: every option of every subcommand, as ``add_argument`` keywords
+#: every option of every subcommand, as ``add_argument`` keywords; the
+#: defaults of ``--scheme`` and ``--num-classes`` stay None, since a
+#: classifier they do not fit is told apart by whether they were given
 _FLAGS: dict[str, dict] = {
     "--config": dict(help="flat key=value config file"),
     "--data": {},
@@ -513,18 +472,18 @@ _FLAGS: dict[str, dict] = {
     "--external-cmd": dict(help="spawn a line-protocol classifier"),
     "--num-classes": dict(type=_option(int, lambda v: v >= 2, "an integer >= 2")),
     "--scheme": dict(choices=["whitespace", "character"]),
-    "--seed": dict(type=_NATURAL),
-    "--jobs": dict(type=_COUNT),
-    "--mechanism": dict(choices=["deletion", "masking"]),
+    "--seed": dict(type=_NATURAL, default=0),
+    "--jobs": dict(type=_COUNT, default=1),
+    "--mechanism": dict(choices=["deletion", "masking"], default="deletion"),
     "--rate": dict(type=_option(float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-                   help="p_del or p_mask"),
-    "--samples-per-instance": dict(type=_COUNT),
-    "--n-pred": dict(type=_COUNT),
-    "--n-cert": dict(type=_COUNT),
-    "--alpha": dict(type=_option(float, lambda v: 0 < v < 1, "a number in (0, 1)")),
-    "--ops": dict(choices=["dis", "d", "i", "s", "di", "ds", "is"]),
-    "--vocab-size": dict(type=_COUNT),
-    "--bound-mode": dict(choices=["bonferroni-cp", "complement"]),
+                   default=0.9, help="p_del or p_mask"),
+    "--samples-per-instance": dict(type=_COUNT, default=8),
+    "--n-pred": dict(type=_COUNT, default=1000),
+    "--n-cert": dict(type=_COUNT, default=4000),
+    "--alpha": dict(type=_option(float, lambda v: 0 < v < 1, "a number in (0, 1)"), default=0.05),
+    "--ops": dict(choices=["dis", "d", "i", "s", "di", "ds", "is"], default="dis"),
+    "--vocab-size": dict(type=_COUNT, default=50265),
+    "--bound-mode": dict(choices=["bonferroni-cp", "complement"], default="bonferroni-cp"),
     "--records": dict(help="CSV written by `certify`"),
     "--thresholds": dict(
         type=_option(lambda v: [float(t) for t in v.split(",")],
@@ -542,12 +501,13 @@ _FLAGS: dict[str, dict] = {
     "--r-i-cap": dict(type=_FINITE_NONNEG, default=0.99),
     "--d-star": dict(type=_option(float, lambda v: 0 < v < math.inf, "a finite number > 0"),
                      default=1.0),
-    "--target": dict(choices=["smoothed", "base"]),
-    "--recipe": dict(choices=["greedy_substitute", "greedy_edit", "char_perturb"]),
-    "--candidates-per-position": dict(type=_NATURAL),
-    "--prediction-samples": dict(type=_COUNT),
-    "--max-queries": dict(type=_COUNT),
-    "--timeout-seconds": dict(type=_option(float, lambda v: v > 0, "a number > 0")),
+    "--target": dict(choices=["smoothed", "base"], default="smoothed"),
+    "--recipe": dict(choices=["greedy_substitute", "greedy_edit", "char_perturb"],
+                     default="greedy_substitute"),
+    "--candidates-per-position": dict(type=_NATURAL, default=8),
+    "--prediction-samples": dict(type=_COUNT, default=100),
+    "--max-queries": dict(type=_COUNT, default=10000),
+    "--timeout-seconds": dict(type=_option(float, lambda v: v > 0, "a number > 0"), default=600.0),
     "--lexicon": {},
     "--source-report": {},
 }
@@ -595,25 +555,37 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``delcert`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="delcert",
         description="Certified edit-distance robustness via randomized token deletion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (func, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         for flag in flags.split():
             option = flag.rstrip("!")
             p.add_argument(option, required=flag.endswith("!"), **_FLAGS[option])
         p.set_defaults(func=func)
-    return parser
+    return parser, commands
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The options of one command line: a flag wins over its ``--config``
+    value, which becomes the subcommand's default in place of the built-in one."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        commands[args.command].set_defaults(**_config_defaults(args.command, args.config))
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -621,10 +593,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DataFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DelcertError as exc:
+    except (DelcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,7 +2,7 @@
 
 Certification, smoothed prediction and training draw both as a boolean
 keep matrix, a row per draw and a column per token, whose cleared cells
-are deleted or shown as :data:`DEFAULT_MASK_TOKEN`.
+are deleted or shown as the scheme's ``mask_token``.
 :func:`deletion_keep_matrix` reads raw words from ``rng.bit_generator``
 and :func:`pattern_probability` is its mass; :func:`masking_keep_matrix`
 makes one ``rng.choice`` call per row.
@@ -17,8 +17,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-
-DEFAULT_MASK_TOKEN = "[MASK]"
 
 _TWO_53 = 1 << 53
 #: bits of a 53-bit deletion uniform below its top byte

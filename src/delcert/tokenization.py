@@ -21,6 +21,13 @@ class Scheme(str, Enum):
         """The string :func:`detokenize` joins tokens with."""
         return " " if self is Scheme.WHITESPACE else ""
 
+    @property
+    def mask_token(self) -> str:
+        """What a masked token shows: ``[MASK]``, or under the character
+        scheme one grapheme, so that a masked text splits back into as many
+        tokens as its input."""
+        return "[MASK]" if self is Scheme.WHITESPACE else "\u2588"
+
 
 @dataclass(frozen=True)
 class TokenSeq:

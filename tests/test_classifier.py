@@ -10,7 +10,7 @@ from delcert.mechanisms import (
     masking_keep_matrix,
 )
 from delcert.rng import RandomStream
-from delcert.tokenization import Scheme, tokenize
+from delcert.tokenization import Scheme, split_tokens, tokenize
 
 from conftest import marker_presence_dataset
 
@@ -50,7 +50,7 @@ def test_rate_zero_equals_clean_training():
 def _train_per_copy(data, mech, samples_per_instance, seed, scheme):
     """Reference trainer: counts one perturbed copy at a time, the copies
     being the rows of the text's keep matrix (a cleared cell deletes its
-    token, or under masking shows "[MASK]" in its place)."""
+    token, or under masking shows the scheme's mask token in its place)."""
     sampler = deletion_keep_matrix if mech.kind is MechanismKind.DELETION else masking_keep_matrix
     counts: dict[str, list[int]] = {}
     docs = [0] * data.num_classes
@@ -62,7 +62,7 @@ def _train_per_copy(data, mech, samples_per_instance, seed, scheme):
             if mech.kind is MechanismKind.DELETION:
                 kept = [tok for tok, k in zip(seq.tokens, keep[copy]) if k]
             else:
-                kept = [tok if k else "[MASK]" for tok, k in zip(seq.tokens, keep[copy])]
+                kept = [tok if k else scheme.mask_token for tok, k in zip(seq.tokens, keep[copy])]
             for tok in kept:
                 counts.setdefault(tok, [0] * data.num_classes)[label] += 1
             docs[label] += 1
@@ -92,6 +92,18 @@ def test_training_matches_per_copy_reference(scheme):
     # at p 0.9 some text's own token is deleted from every copy and never seen
     model = train_builtin(data, mechs[2], 3, RandomStream(5), Scheme.WHITESPACE)
     assert {f"u{i}" for i in range(12)} - set(model.tokens)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.WHITESPACE, Scheme.CHARACTER])
+def test_mask_token_is_one_token(scheme):
+    # the token a masking-trained model counts for masked cells is the one
+    # prediction reads back when it re-splits a masked text
+    data = LabeledDataset.from_pairs([("good film", 1), ("bad film", 0)] * 3)
+    mech = MechanismParams(MechanismKind.MASKING, 0.5)
+    model = train_builtin(data, mech, 4, RandomStream(1), scheme)
+    seen = {tok for text, _ in data.items for tok in tokenize(text, scheme).tokens}
+    (mask,) = set(model.tokens) - seen
+    assert split_tokens(scheme.separator.join(["a", mask, "b"]), scheme) == ["a", mask, "b"]
 
 
 def test_training_is_deterministic():

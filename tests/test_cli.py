@@ -427,6 +427,96 @@ def test_config_file_precedence(trained, capsys):
     assert out2.read_text().splitlines()[1].split(",")[-2:] == ["30", "20"]  # flag wins
 
 
+def test_cardinality_reads_config(tmp_path, capsys):
+    # every option the command takes is read from the config file
+    out, config = tmp_path / "card.csv", tmp_path / "c.cfg"
+    config.write_text(f"which = hamming\nout = {out}\n", encoding="utf-8")
+    assert main(["cardinality", "--length", "3", "--radius", "1", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == ""
+    assert [row.split(",")[0] for row in out.read_text().splitlines()] == ["measure", "hamming_exact"]
+    # a switch set to false in the config stays off
+    config.write_text("exact = false\n", encoding="utf-8")
+    assert main(["cardinality", "--length", "2", "--radius", "1", "--config", str(config)]) == 0
+    measures = [row.split(",")[0] for row in capsys.readouterr().out.splitlines()]
+    assert "levenshtein_lower_bound" in measures and "levenshtein_exact" not in measures
+
+
+def test_config_skips_other_keys_and_rejects_malformed_lines(tmp_path, capsys):
+    # one file serves several commands: cardinality takes no alpha and no n_pred
+    config = tmp_path / "c.cfg"
+    config.write_text("# shared\nalpha=2\nn-pred = 0\nvocab-size = 2\n", encoding="utf-8")
+    argv = ["cardinality", "--length", "3", "--radius", "1", "--which", "hamming", "--config"]
+    assert main([*argv, str(config)]) == 0
+    assert "hamming_exact,3,2,1,4," in capsys.readouterr().out
+    config.write_text("vocab-size = 2\nwhich\n", encoding="utf-8")
+    assert main([*argv, str(config)]) == 3
+    assert "c.cfg:2: expected key=value" in capsys.readouterr().err
+    assert main([*argv, str(tmp_path / "missing.cfg")]) == 3
+
+
+#: a valid value other than the default, then a second value, for every
+#: option a config file can set
+_CONFIG_VALUES = {
+    "--out": ("o.csv", "p.csv"),
+    "--model": ("m.json", "n.json"),
+    "--external-cmd": ("worker a", "worker b"),
+    "--num-classes": ("3", "4"),
+    "--scheme": ("character", "whitespace"),
+    "--seed": ("7", "8"),
+    "--jobs": ("2", "3"),
+    "--mechanism": ("masking", "deletion"),
+    "--rate": ("0.5", "0.25"),
+    "--samples-per-instance": ("3", "2"),
+    "--n-pred": ("11", "12"),
+    "--n-cert": ("13", "14"),
+    "--alpha": ("0.1", "0.2"),
+    "--ops": ("di", "s"),
+    "--vocab-size": ("9", "10"),
+    "--bound-mode": ("complement", "bonferroni-cp"),
+    "--which": ("exact", "lower"),
+    "--exact": ("true", "false"),
+    "--tokens": ("a b c", "c b a"),
+    "--target": ("base", "smoothed"),
+    "--recipe": ("greedy_edit", "char_perturb"),
+    "--candidates-per-position": ("3", "0"),
+    "--prediction-samples": ("5", "6"),
+    "--max-queries": ("6", "7"),
+    "--timeout-seconds": ("2.5", "3.5"),
+    "--lexicon": ("lex.tsv", "lex2.tsv"),
+}
+
+#: (command, option) for every option, other than a required flag and
+#: --config itself, of every command that takes --config
+_CONFIGURABLE = [
+    (command, flag)
+    for command, (_, _, flags) in cli._COMMANDS.items()
+    if "--config" in flags.split()
+    for flag in flags.split()
+    if flag != "--config" and not flag.endswith("!")
+]
+
+
+@pytest.mark.parametrize(("command", "flag"), _CONFIGURABLE)
+def test_config_value_resolves_like_flag(tmp_path, command, flag):
+    # every required flag of these commands accepts "1"
+    required = [a for f in cli._COMMANDS[command][2].split() if f.endswith("!") for a in (f[:-1], "1")]
+    config = tmp_path / "run.cfg"
+
+    def resolved(flags, config_text=""):
+        config.write_text(config_text, encoding="utf-8")
+        return vars(cli.parse_args([command, *required, "--config", str(config), *flags]))
+
+    def as_flag(value):  # --exact is a switch
+        return [flag] if flag == "--exact" else [flag, value]
+
+    value, other = _CONFIG_VALUES[flag]
+    key = flag[2:]
+    assert resolved([], f"{key} = {value}\n") == resolved(as_flag(value)) != resolved([])
+    # the flag wins over the config, spelt with underscores this time
+    underscored = key.replace("-", "_")
+    assert resolved(as_flag(value), f"{underscored}={other}\n") == resolved(as_flag(value))
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["certify"])  # missing required flags
@@ -527,9 +617,15 @@ def _exit_code(argv) -> int:
         ["certify", "--config", "alpha=2"],
         ["train", "--config", "mechanism=noise"],
         ["attack", "--config", "timeout_seconds=0"],
-        # classifier flags the chosen classifier would ignore (--model is added below)
+        ["cardinality", "--config", "exact=maybe"],
+        # a required flag is given on the command line only
+        ["certify", "--config", "data=other.jsonl"],
+        # classifier options the chosen classifier would ignore, from a flag or
+        # the config (--model is added below unless the config names one)
         ["certify", "--external-cmd", "never-started"],
         ["predict", "--num-classes", "3"],
+        ["certify", "--config", "model=other.json", "--external-cmd", "never-started"],
+        ["predict", "--config", "num_classes=3"],
     ],
 )
 def test_invalid_option_value_exit_2(trained, argv, capsys, monkeypatch):
@@ -539,13 +635,20 @@ def test_invalid_option_value_exit_2(trained, argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "ExternalClassifier", no_child)
     model_path, test_path, tmp_path = trained
     command, *rest = argv
+    config_text = ""
     if rest[0] == "--config":
+        config_text = rest[1]
         config = tmp_path / "bad.cfg"
-        config.write_text(rest[1] + "\n", encoding="utf-8")
-        rest = ["--config", str(config)]
-    model = [] if command == "train" else ["--model", str(model_path)]
+        config.write_text(config_text + "\n", encoding="utf-8")
+        rest = ["--config", str(config), *rest[2:]]
+    if command == "cardinality":
+        given = ["--length", "3", "--radius", "1"]
+    else:
+        given = ["--data", str(test_path)]
+        if command != "train" and not config_text.startswith("model="):
+            given += ["--model", str(model_path)]
     out = tmp_path / "out"
-    assert _exit_code([command, "--data", str(test_path), *model, "--out", str(out), *rest]) == 2
+    assert _exit_code([command, *given, "--out", str(out), *rest]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1
@@ -666,7 +769,7 @@ _MASKING_SHA256 = {
         "b0331d1f1ef29d7042cedbc806184af4e816a1a27465fa049218ca79d01742be",
     ),
     "character": (
-        "1e678611e055fbd71a546f343d673927cb6b6f83aa20cb1a80f104336bdca8dd",
+        "b1050131a72d13e057d44881ca5519ce67add8c099a00f8551aa79b2f8aa046c",
         "ccffb18639b0cf33b89de6ca4fbbd8778c2b8062c339171dd075632a33413ff8",
     ),
 }

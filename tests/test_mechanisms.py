@@ -203,8 +203,9 @@ def test_masking_texts_fill_masked_cells():
         recorder = RecordingClassifier()
         mech = MechanismParams(MechanismKind.MASKING, 0.4)
         vote_counts(recorder, x, mech, 200, RandomStream(3).child(0).generator())
+        mask, sep = x.scheme.mask_token, x.scheme.separator
         expected = {
-            x.scheme.separator.join("[MASK]" if i in s else t for i, t in enumerate(x.tokens))
+            sep.join(mask if i in s else t for i, t in enumerate(x.tokens))
             for s in itertools.combinations(range(5), 2)
         }
         assert len(recorder.texts) == 10 and set(recorder.texts) == expected
