@@ -304,7 +304,7 @@ def transfer_attack(source_report: AttackReport, target: BaseClassifier) -> Atta
     """
     successes = [o for o in source_report.outcomes if o.status == SUCCESS]
     if not successes:
-        raise ValueError("source report contains no successful attacks to transfer")
+        raise DataFormatError("source report contains no successful attacks to transfer")
     outcomes = []
     for o in successes:
         assert o.adversarial_text is not None

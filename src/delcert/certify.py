@@ -117,33 +117,21 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_rows(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a boolean matrix and each row's index among them."""
-    if keep.shape[1] == 0:
-        return keep[:1], np.zeros(keep.shape[0], dtype=np.intp)
-    packed = np.packbits(keep, axis=1)
-    # one opaque bytes item per row: np.unique on it is several times
-    # faster than np.unique(axis=0)
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return keep[first], inverse
-
-
 def _keep_labels(
     model: BaseClassifier, x: TokenSeq, keep: np.ndarray, fill: str | None
 ) -> np.ndarray:
-    """The label of each draw, each distinct row's text built and classified
-    once: a cleared cell drops its token, or shows ``fill`` if one is given."""
-    distinct, inverse = _distinct_rows(keep)
-    cells = np.broadcast_to(np.array(x.tokens, dtype=object), distinct.shape)
+    """The label of each draw from its own text, in which a cleared cell drops
+    its token, or shows ``fill`` if one is given; :func:`classify_texts` is
+    the one dedup on this path."""
+    cells = np.broadcast_to(np.array(x.tokens, dtype=object), keep.shape)
     if fill is not None:  # masking shows every cell
-        cells, distinct = np.where(distinct, cells, fill), np.ones_like(distinct)
+        cells, keep = np.where(keep, cells, fill), np.ones_like(keep)
     # every row's shown tokens in one flat list, row after row
-    shown = cells[distinct].tolist()
-    ends = np.cumsum(distinct.sum(axis=1)).tolist()
+    shown = cells[keep].tolist()
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
     sep = x.scheme.separator
     texts = [sep.join(shown[start:end]) for start, end in zip([0] + ends, ends)]
-    return classify_texts(model, texts)[inverse]
+    return classify_texts(model, texts)
 
 
 def vote_counts(
@@ -158,8 +146,8 @@ def vote_counts(
     For the built-in model under deletion noise the votes are computed
     through one keep-matrix product instead of materializing texts; the
     draws consumed from ``rng`` are identical either way.  Any other
-    case builds each distinct draw's text once and classifies it (see
-    :func:`~delcert.classifier.classify_texts`).
+    case builds one text per draw; :func:`~delcert.classifier.classify_texts`,
+    the one dedup on that path, classifies each distinct text once.
     """
     deletion = mech.kind is MechanismKind.DELETION
     # looked up at each call, so a rebound certify.deletion_keep_matrix is used

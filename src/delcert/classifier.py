@@ -194,23 +194,24 @@ class BuiltinModel:
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: not a valid model file ({exc})") from exc
-        if payload.get("format_version") != MODEL_FORMAT_VERSION:
-            raise DataFormatError(
-                f"{path}: unsupported model format version {payload.get('format_version')!r}"
-            )
-        tokens = tuple(payload["tokens"])
-        num_classes = int(payload["num_classes"])
-        return cls(
-            scheme=Scheme(payload["scheme"]),
-            num_classes=num_classes,
-            class_doc_counts=np.asarray(payload["class_doc_counts"], dtype=np.int64),
-            tokens=tokens,
-            token_counts=np.asarray(payload["token_counts"], dtype=np.int64).reshape(
-                len(tokens), num_classes
-            ),
-        )
+                if (version := payload.get("format_version")) != MODEL_FORMAT_VERSION:
+                    raise ValueError(f"unsupported model format version {version!r}")
+                tokens = tuple(payload["tokens"])
+                num_classes = int(payload["num_classes"])
+                doc_counts = np.asarray(payload["class_doc_counts"], dtype=np.int64)
+                if doc_counts.shape != (num_classes,):
+                    raise ValueError(f"{doc_counts.size} class_doc_counts for {num_classes} classes")
+                return cls(
+                    scheme=Scheme(payload["scheme"]),
+                    num_classes=num_classes,
+                    class_doc_counts=doc_counts,
+                    tokens=tokens,
+                    token_counts=np.asarray(payload["token_counts"], dtype=np.int64).reshape(
+                        len(tokens), num_classes
+                    ),
+                )
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise DataFormatError(f"{path}: not a valid model file ({exc!r})") from exc
 
 
 def train_builtin(

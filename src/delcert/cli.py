@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import attacks as atk
-from .certify import SmoothedPredictor, certify, smoothed_predict
+from .certify import _PRED_STREAM, SmoothedPredictor, certify, smoothed_predict
 from .classifier import BuiltinModel, LabeledDataset, train_builtin
 from .edit_metrics import (
     ALL_OPS_SETS,
@@ -207,7 +207,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         scheme = _input_scheme(model, args)
         for idx, (text, label) in enumerate(data.items):
             x = tokenize(text, scheme)
-            pred, _ = smoothed_predict(model, x, mech, args.n_pred, stream.child(idx, 0).generator())
+            rng = stream.child(idx, _PRED_STREAM).generator()  # the stream certify predicts on
+            pred, _ = smoothed_predict(model, x, mech, args.n_pred, rng)
             correct += int(pred == label)
             writer.writerow([idx, label, pred])
     _write_text(args.out, buf.getvalue())
@@ -277,7 +278,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise DataFormatError(f"{args.records}: records lack columns {sorted(missing)}")
     # an abstention certifies nothing, so it counts as wrong (Cohen et al. 2019)
     correct = [r["predicted"] == r["true_label"] and r["abstained"] == "0" for r in rows]
-    log_cc = [float(r["log10_cc_lb"]) for r in rows]
+    try:
+        log_cc = [float(r["log10_cc_lb"]) for r in rows]
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{args.records}: bad log10_cc_lb ({exc})") from exc
     if args.thresholds:
         thresholds = args.thresholds
     else:
@@ -407,15 +411,17 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def _report_from_json(path: str) -> atk.AttackReport:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    outcomes = [atk.AttackOutcome(**o) for o in payload["outcomes"]]
-    return atk.AttackReport(
-        outcomes=tuple(outcomes),
-        clean_accuracy=payload["clean_accuracy"],
-        robust_accuracy=payload["robust_accuracy"],
-        mean_queries=payload["mean_queries"],
-        harness_errors=tuple(tuple(e) for e in payload.get("harness_errors", [])),
-    )
+        try:
+            payload = json.load(fh)
+            return atk.AttackReport(
+                outcomes=tuple(atk.AttackOutcome(**o) for o in payload["outcomes"]),
+                clean_accuracy=payload["clean_accuracy"],
+                robust_accuracy=payload["robust_accuracy"],
+                mean_queries=payload["mean_queries"],
+                harness_errors=tuple(tuple(e) for e in payload.get("harness_errors", [])),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: not an attack report ({exc!r})") from exc
 
 
 def cmd_transfer(args: argparse.Namespace) -> int:

@@ -48,22 +48,24 @@ class ParityClassifier:
 
 class CountingClassifier:
     """Wraps a classifier, hiding its type so that certification takes the
-    text path, and asserts that no text reaches ``classify_batch`` twice
-    between calls to :meth:`reset`."""
+    text path, asserts that no text reaches ``classify_batch`` twice
+    between calls to :meth:`reset`, and records the order texts arrive in."""
 
     def __init__(self, inner):
         self.inner = inner
         self.num_classes = inner.num_classes
-        self.seen: set[str] = set()
+        self.reset()
 
     def reset(self) -> None:
-        self.seen = set()
+        self.seen: set[str] = set()
+        self.order: list[str] = []
 
     def classify_batch(self, texts):
         batch = set(texts)
         assert len(batch) == len(texts), "a text repeats within one batch"
         assert not batch & self.seen, "a text was classified again"
         self.seen |= batch
+        self.order += texts
         return self.inner.classify_batch(texts)
 
 

@@ -353,6 +353,9 @@ def test_fast_path_matches_text_path():
         assert np.array_equal(fast, ref), case
         assert np.array_equal(slow, ref), case
         assert counting.seen == set(ref_texts), case
+        # each distinct text reaches the model once, in the order the draws
+        # first produce it
+        assert counting.order == list(dict.fromkeys(ref_texts)), case
         if name == "repeated":  # distinct patterns that give equal texts
             assert len({row.tobytes() for row in keep}) > len(set(ref_texts)), case
 

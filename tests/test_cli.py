@@ -203,6 +203,62 @@ def test_predict_csv_dataset(tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
+def test_predict_matches_certify_prediction(trained):
+    # one draw at p_del 0.5 keeps the marker about half the time, so each
+    # prediction depends on the stream it is drawn from
+    model_path, test_path, tmp_path = trained
+    common = ["--model", str(model_path), "--data", str(test_path), "--seed", "6",
+              "--rate", "0.5", "--n-pred", "1"]
+    assert main(["predict", *common, "--out", str(tmp_path / "p.csv")]) == 0
+    assert main(["certify", *common, "--n-cert", "10", "--out", str(tmp_path / "c.csv")]) == 0
+
+    def predicted(name):
+        with open(tmp_path / name, encoding="utf-8") as fh:
+            return [row["predicted"] for row in csv.DictReader(fh)]
+
+    assert predicted("p.csv") == predicted("c.csv")
+    assert len(set(predicted("p.csv"))) == 2
+
+
+_REPORT = {"outcomes": [], "clean_accuracy": 1.0, "robust_accuracy": 1.0, "mean_queries": 0.0}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["report-not-json", "report-lacks-key", "report-no-success", "model-lacks-tokens",
+     "model-short-doc-counts", "records-not-numeric"],
+)
+def test_data_error_exit_3(trained, case, capsys):
+    """A malformed input file exits 3 with one ``error:`` line, not a traceback."""
+    model_path, test_path, tmp_path = trained
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    transfer = ["transfer", "--source-report", str(bad), "--model", str(model_path),
+                "--out", str(tmp_path / "t.json")]
+    predict = ["predict", "--model", str(bad), "--data", str(test_path), "--n-pred", "10",
+               "--out", str(tmp_path / "p.csv")]
+    text, argv = {
+        "report-not-json": ("not json", transfer),
+        "report-lacks-key": (
+            json.dumps({k: v for k, v in _REPORT.items() if k != "clean_accuracy"}), transfer
+        ),
+        "report-no-success": (json.dumps(_REPORT), transfer),
+        "model-lacks-tokens": (json.dumps({k: v for k, v in model.items() if k != "tokens"}),
+                               predict),
+        "model-short-doc-counts": (
+            json.dumps({**model, "class_doc_counts": model["class_doc_counts"][:1]}), predict
+        ),
+        "records-not-numeric": (
+            "true_label,predicted,abstained,log10_cc_lb\n1,1,0,many\n",
+            ["curve", "--records", str(bad), "--out", str(tmp_path / "curve.csv")],
+        ),
+    }[case]
+    bad.write_text(text, encoding="utf-8")
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_malformed_jsonl_reports_line(trained, tmp_path, capsys):
     model_path, _, _ = trained
     bad = tmp_path / "bad.jsonl"
