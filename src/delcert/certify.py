@@ -60,6 +60,12 @@ _CERT_STREAM = 1
 #: keeps texts that recur across instances (432 more hits; 8,192 added 48).
 _MEMO_SIZE = 1024
 
+#: draws whose texts make one slice on the text path.  A slice's new texts
+#: are one request, so an external child classifies a slice while the next
+#: is built.  certify-external (two 10 s runs each, 2 vCPUs) gave 101 and
+#: 105 instances/s at 512, 95 and 94 at 256, 94 and 98 at 1,024.
+_SLICE_DRAWS = 512
+
 
 @dataclass(frozen=True)
 class ScoreEstimate:
@@ -121,17 +127,23 @@ def _keep_labels(
     model: BaseClassifier, x: TokenSeq, keep: np.ndarray, fill: str | None
 ) -> np.ndarray:
     """The label of each draw from its own text, in which a cleared cell drops
-    its token, or shows ``fill`` if one is given; :func:`classify_texts` is
-    the one dedup on this path."""
+    its token, or shows ``fill`` if one is given.  The texts are built in
+    slices of ``_SLICE_DRAWS`` draws for :func:`classify_texts`, the one
+    dedup on this path, which can send a slice while the next is built."""
     cells = np.broadcast_to(np.array(x.tokens, dtype=object), keep.shape)
     if fill is not None:  # masking shows every cell
         cells, keep = np.where(keep, cells, fill), np.ones_like(keep)
-    # every row's shown tokens in one flat list, row after row
-    shown = cells[keep].tolist()
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
     sep = x.scheme.separator
-    texts = [sep.join(shown[start:end]) for start, end in zip([0] + ends, ends)]
-    return classify_texts(model, texts)
+
+    def slices():
+        for lo in range(0, len(keep), _SLICE_DRAWS):
+            rows = keep[lo : lo + _SLICE_DRAWS]
+            # the slice's shown tokens in one flat list, row after row
+            shown = cells[lo : lo + _SLICE_DRAWS][rows].tolist()
+            ends = np.cumsum(rows.sum(axis=1)).tolist()
+            yield [sep.join(shown[a:b]) for a, b in zip([0] + ends, ends)]
+
+    return classify_texts(model, slices())
 
 
 def vote_counts(
@@ -146,8 +158,9 @@ def vote_counts(
     For the built-in model under deletion noise the votes are computed
     through one keep-matrix product instead of materializing texts; the
     draws consumed from ``rng`` are identical either way.  Any other
-    case builds one text per draw; :func:`~delcert.classifier.classify_texts`,
-    the one dedup on that path, classifies each distinct text once.
+    case builds one text per draw, slice by slice;
+    :func:`~delcert.classifier.classify_texts`, the one dedup on that path,
+    classifies each distinct text once.
     """
     deletion = mech.kind is MechanismKind.DELETION
     # looked up at each call, so a rebound certify.deletion_keep_matrix is used

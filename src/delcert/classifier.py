@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Protocol, Sequence, runtime_checkable
+from itertools import chain, islice, repeat
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .tokenization import Scheme, split_tokens, tokenize
 
 MODEL_FORMAT_VERSION = 1
 _SMOOTHING = 1.0
-#: most texts sent to one ``classify_batch`` call by :func:`classify_texts`
-_CLASSIFY_CHUNK = 2048
 
 
 @runtime_checkable
@@ -34,7 +32,10 @@ class BaseClassifier(Protocol):
     ``classify_batch`` must be a pure function of each text: a text's
     label may depend neither on the other texts of the batch, nor on
     their order, nor on earlier calls.  Callers rely on this to classify
-    each distinct text once and reuse its label for every copy.
+    each distinct text once and reuse its label for every copy.  A
+    classifier may also offer ``send(texts)``, which starts classifying a
+    list that a later ``classify_batch`` of the same list collects (see
+    :func:`classify_texts`).
     """
 
     num_classes: int
@@ -42,23 +43,35 @@ class BaseClassifier(Protocol):
     def classify_batch(self, texts: Sequence[str]) -> list[int]: ...
 
 
-def classify_texts(model: BaseClassifier, texts: Sequence[str]) -> np.ndarray:
-    """Labels of ``texts`` as an int64 array, each distinct text classified once.
+def classify_texts(model: BaseClassifier, slices: Iterable[Sequence[str]]) -> np.ndarray:
+    """Labels of the texts of every slice, in turn, as one int64 array.
 
-    Distinct texts go to ``model.classify_batch`` in first-occurrence
-    order, at most 2048 per call.  Raises ``ValueError`` unless the calls
-    return one integer label in ``[0, num_classes)`` per text.
+    Each distinct text is classified once: the texts that first occur in
+    a slice go to ``model.classify_batch`` as one call, in first-occurrence
+    order.  A model with a ``send`` method gets each such list sent as soon
+    as its slice is read and collected by ``classify_batch`` after the last
+    slice, so that it classifies one slice while the next one is built.
+    Raises ``ValueError`` unless the calls return one integer label in
+    ``[0, num_classes)`` per text.
     """
+    send = getattr(model, "send", None)
     index: dict[str, int] = {}
-    inverse = [index.setdefault(t, len(index)) for t in texts]
-    distinct = list(index)
+    inverse: list[int] = []
+    sent: list[list[str]] = []
     labels: list = []
-    for start in range(0, len(distinct), _CLASSIFY_CHUNK):
-        chunk = distinct[start : start + _CLASSIFY_CHUNK]
-        got = model.classify_batch(chunk)
-        if len(got) != len(chunk):
-            raise ValueError(f"classifier returned {len(got)} labels for {len(chunk)} texts")
-        labels.extend(got)
+    for texts in slices:
+        known = len(index)
+        inverse += [index.setdefault(t, len(index)) for t in texts]
+        if len(index) == known:
+            continue
+        batch = list(islice(index, known, None))
+        if send is None:
+            labels += _labels_of(model, batch)
+        else:
+            send(batch)
+            sent.append(batch)
+    for batch in sent:
+        labels += _labels_of(model, batch)
     if not labels:
         return np.zeros(0, dtype=np.int64)
     arr = np.asarray(labels)
@@ -69,6 +82,13 @@ def classify_texts(model: BaseClassifier, texts: Sequence[str]) -> np.ndarray:
     if arr.view(np.uint64).max() >= model.num_classes:
         raise ValueError("classifier returned an out-of-range label")
     return arr[inverse]
+
+
+def _labels_of(model: BaseClassifier, texts: list[str]) -> list:
+    got = model.classify_batch(texts)
+    if len(got) != len(texts):
+        raise ValueError(f"classifier returned {len(got)} labels for {len(texts)} texts")
+    return got
 
 
 @dataclass(frozen=True)

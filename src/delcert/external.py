@@ -6,17 +6,21 @@ answers on stdout, one object per line, UTF-8:
     request:  {"id": <int>, "texts": [<str>, ...]}
     response: {"id": <same int>, "labels": [<int>, ...]}
 
-Protocol failures (mismatched id, malformed JSON, wrong label count, a
-label that is not an integer class index, process exit, timeout)
-surface as :class:`TransportError`, never as classification results.
-A timeout stops the child.  After a timeout or the end of the child's
-output, every later call on the adapter fails at once.
+Several requests can be in flight: :meth:`ExternalClassifier.send`
+writes one without waiting, and replies are matched to requests by id,
+so the child must keep reading its input while it answers.  Protocol
+failures (a reply that is malformed or whose id no request awaits, a
+wrong label count, a label that is not an integer class index, process
+exit, timeout) surface as :class:`TransportError`, never as
+classification results.  A timeout stops the child.  After a timeout,
+an unmatched reply or the end of the child's output, every later call
+on the adapter fails at once.  The timeout bounds the wait for a reply,
+not a write to a child that has stopped reading its input.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import shlex
 import subprocess
 import threading
@@ -26,7 +30,8 @@ from .errors import TransportError
 
 
 class ExternalClassifier:
-    """Wraps one child process; writes are serialized by an internal lock."""
+    """Wraps one child process; threads may share it, since each reply
+    goes to the caller whose request has its id."""
 
     def __init__(self, cmd: str | Sequence[str], num_classes: int, timeout: float = 60.0):
         self.num_classes = int(num_classes)
@@ -42,63 +47,110 @@ class ExternalClassifier:
             encoding="utf-8",
             bufsize=1,
         )
-        self._lock = threading.Lock()
+        # writes hold only this lock, so the reader can always store a reply
+        # and the child never blocks on a full output pipe
+        self._write_lock = threading.Lock()
         self._next_id = 0
+        self._state = threading.Condition()  # guards every field below
+        self._awaited: set[int] = set()  # ids written, not yet answered
+        self._replies: dict[int, dict] = {}  # answered, not yet collected
+        self._sent: dict[int, tuple[Sequence[str], int]] = {}  # by id() of a sent list
         # the failure that stopped the child; set, it fails every later call
         self._broken: str | None = None
-        self._lines: queue.Queue[str | None] = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
 
     def _pump(self) -> None:
+        """Store each reply for its request until the child's output ends."""
         assert self._proc.stdout is not None
         for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)  # EOF sentinel
+            try:
+                reply = json.loads(line)
+            except json.JSONDecodeError:
+                reply = None
+            rid = reply.get("id") if isinstance(reply, dict) else None
+            with self._state:
+                if type(rid) is int and rid in self._awaited:
+                    self._awaited.remove(rid)
+                    self._replies[rid] = reply
+                elif reply is None:
+                    self._fail(f"malformed response line: {line!r}")
+                else:
+                    self._fail(f"response id {rid!r} matches no request awaiting a reply")
+                self._state.notify_all()
+        with self._state:
+            self._fail("classifier process closed its output stream")
+            self._state.notify_all()
 
-    def classify_batch(self, texts: Sequence[str]) -> list[int]:
-        with self._lock:
-            if self._broken is not None:
-                raise TransportError(f"classifier unusable after an earlier failure: {self._broken}")
-            if self._proc.poll() is not None:
-                raise TransportError(f"classifier process exited with {self._proc.returncode}")
-            rid = self._next_id
-            self._next_id += 1
-            request = json.dumps({"id": rid, "texts": list(texts)}, ensure_ascii=False)
+    def _fail(self, reason: str) -> None:
+        # called with self._state held; the first failure is the one reported
+        if self._broken is None:
+            self._broken = reason
+
+    def _write(self, texts: Sequence[str]) -> int:
+        """Write one request for ``texts``; return its id."""
+        payload = json.dumps(list(texts), ensure_ascii=False)
+        with self._write_lock:
+            with self._state:
+                if self._broken is not None:
+                    raise TransportError(
+                        f"classifier unusable after an earlier failure: {self._broken}"
+                    )
+                if self._proc.poll() is not None:
+                    raise TransportError(f"classifier process exited with {self._proc.returncode}")
+                rid = self._next_id
+                self._next_id += 1
+                self._awaited.add(rid)
             try:
                 assert self._proc.stdin is not None
-                self._proc.stdin.write(request + "\n")
+                self._proc.stdin.write(f'{{"id": {rid}, "texts": {payload}}}\n')
                 self._proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
+                with self._state:
+                    self._awaited.discard(rid)
                 raise TransportError(f"failed to write request: {exc}") from exc
-            try:
-                line = self._lines.get(timeout=self.timeout)
-            except queue.Empty:
-                # a late reply would answer the next request: stop the child
-                self._broken = f"no response within {self.timeout}s (request {rid})"
+        return rid
+
+    def send(self, texts: Sequence[str]) -> None:
+        """Write a request for ``texts`` without waiting for its reply.
+
+        ``classify_batch`` called later with this same list object
+        collects the reply; each sent list is collected once.
+        """
+        rid = self._write(texts)
+        with self._state:
+            self._sent[id(texts)] = (texts, rid)  # the entry keeps the id() unique
+
+    def classify_batch(self, texts: Sequence[str]) -> list[int]:
+        """Labels of ``texts``: the reply to its earlier :meth:`send`, or to
+        a request written now."""
+        with self._state:
+            sent = self._sent.pop(id(texts), None)
+        rid = self._write(texts) if sent is None else sent[1]
+        with self._state:
+            answered = self._state.wait_for(
+                lambda: rid in self._replies or self._broken is not None, self.timeout
+            )
+            if not answered:
+                # a late reply would be taken for a live one: stop the child
+                self._fail(f"no response within {self.timeout}s (request {rid})")
+            reply = self._replies.pop(rid, None)
+            failure = self._broken
+        if reply is None:
+            if not answered:
                 self._proc.kill()
                 self._proc.wait()
-                raise TransportError(self._broken) from None
-            if line is None:
-                # the sentinel is read once: a later call would wait out its timeout
-                self._broken = "classifier process closed its output stream"
-                raise TransportError(self._broken)
-            try:
-                response = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TransportError(f"malformed response line: {line!r}") from exc
-            if response.get("id") != rid:
-                raise TransportError(f"response id {response.get('id')!r} != request id {rid}")
-            labels = response.get("labels")
-            if not isinstance(labels, list) or len(labels) != len(texts):
-                raise TransportError("response labels missing or of wrong length")
-            for label in labels:
-                # exact type: JSON true/false arrive as bool, 1.7 as float
-                if type(label) is not int or not 0 <= label < self.num_classes:
-                    raise TransportError(
-                        f"label {label!r} is not a class index in [0, {self.num_classes})"
-                    )
-            return labels
+            raise TransportError(failure)
+        labels = reply.get("labels")
+        if not isinstance(labels, list) or len(labels) != len(texts):
+            raise TransportError("response labels missing or of wrong length")
+        for label in labels:
+            # exact type: JSON true/false arrive as bool, 1.7 as float
+            if type(label) is not int or not 0 <= label < self.num_classes:
+                raise TransportError(
+                    f"label {label!r} is not a class index in [0, {self.num_classes})"
+                )
+        return labels
 
     def close(self) -> None:
         try:

@@ -132,7 +132,7 @@ def _smoothed_scores(
         texts = [sep.join(r[:k]) for r, k in zip(names[rows].tolist(), kept)]
         # until the first texts are labelled, every text is new
         new = [t for t in texts if t not in label_of] if label_of else texts
-        labels = classify_texts(model, new).tolist()
+        labels = classify_texts(model, [new]).tolist()
         label_of.update(zip(new, labels))
         return labels if new is texts else [label_of[t] for t in texts]
 

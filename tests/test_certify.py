@@ -345,7 +345,7 @@ def test_fast_path_matches_text_path():
         def rng():
             return RandomStream(11).child(0).generator()
 
-        # 3000 draws: 40 tokens at p_del 0.5 give more distinct texts than one chunk
+        # 3000 draws span six slices: dedup and order hold across slices
         fast = vote_counts(model, x, mech, 3000, rng())
         counting.reset()
         slow = vote_counts(counting, x, mech, 3000, rng())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delcert import LabeledDataset, train_builtin
-from delcert.classifier import BuiltinModel
+from delcert.classifier import BuiltinModel, classify_texts
 from delcert.mechanisms import (
     MechanismKind,
     MechanismParams,
@@ -45,6 +45,40 @@ def test_rate_zero_equals_clean_training():
     assert noisy_off.tokens == masked_off.tokens
     assert np.array_equal(noisy_off.token_counts, masked_off.token_counts)
     assert np.array_equal(noisy_off.class_doc_counts, masked_off.class_doc_counts)
+
+
+class LoggingClassifier:
+    """Labels texts by length and logs each ``classify_batch`` call."""
+
+    num_classes = 3
+
+    def __init__(self):
+        self.log: list[tuple[str, list[str]]] = []
+
+    def classify_batch(self, texts):
+        self.log.append(("collect", texts))
+        return [len(t) % 3 for t in texts]
+
+
+class SendingClassifier(LoggingClassifier):
+    def send(self, texts):
+        self.log.append(("send", texts))
+
+
+def test_classify_texts_sends_every_slice_before_collecting():
+    slices = [["a", "bb", "a"], ["bb"], ["ccc", "a", "dddd", "ccc"], []]
+    expected = [len(t) % 3 for s in slices for t in s]
+    # each slice's first-seen texts once; a slice with none makes no call
+    batches = [["a", "bb"], ["ccc", "dddd"]]
+    clf = SendingClassifier()
+    assert classify_texts(clf, iter(slices)).tolist() == expected
+    assert clf.log == [("send", b) for b in batches] + [("collect", b) for b in batches]
+    # every reply is collected from the very list that was sent
+    assert clf.log[0][1] is clf.log[2][1] and clf.log[1][1] is clf.log[3][1]
+    # without send, the same batches are classified slice by slice
+    clf = LoggingClassifier()
+    assert classify_texts(clf, iter(slices)).tolist() == expected
+    assert clf.log == [("collect", b) for b in batches]
 
 
 def _train_per_copy(data, mech, samples_per_instance, seed, scheme):

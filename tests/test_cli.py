@@ -844,3 +844,32 @@ def test_masking_outputs_pinned(tmp_path, scheme, capsys):
                  *masking, "--n-pred", "50", "--seed", "6"]) == 0
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (model, preds))
     assert got == _MASKING_SHA256[scheme]
+
+
+#: sha256 of the records of a default `certify` on the built-in model,
+#: and of a text-path `certify` through the "length" protocol double
+_CERTIFY_SHA256 = "baa530b890f37c404a63667b5be01c5ce608a9a7b39e64196897400cd373e76d"
+_EXTERNAL_CERTIFY_SHA256 = "f2ded1ed726e39a199d22120114c4918341aa476ad943af655ef39a469421f95"
+
+
+def test_certify_records_pinned(tmp_path, capsys):
+    train_path, test_path = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    write_jsonl(train_path, marker_presence_dataset(40, seed=71))
+    write_jsonl(test_path, marker_presence_dataset(12, seed=72))
+    model, records = tmp_path / "model.json", tmp_path / "rec.csv"
+    assert main(["train", "--data", str(train_path), "--out", str(model), "--seed", "3"]) == 0
+    assert main(["certify", "--model", str(model), "--data", str(test_path),
+                 "--out", str(records)]) == 0
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == _CERTIFY_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_external_certify_records_pinned(tmp_path, worker_cmd, jobs, capsys):
+    # under --jobs 2 two threads share one child, each with requests in flight
+    test_path, records = tmp_path / "test.jsonl", tmp_path / "rec.csv"
+    write_jsonl(test_path, marker_presence_dataset(12, seed=72))
+    assert main(["certify", "--external-cmd", shlex.join(worker_cmd("length")),
+                 "--num-classes", "2", "--data", str(test_path), "--seed", "4",
+                 "--n-pred", "200", "--n-cert", "800", "--jobs", jobs,
+                 "--out", str(records)]) == 0
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == _EXTERNAL_CERTIFY_SHA256

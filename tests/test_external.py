@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 
 import numpy as np
@@ -88,3 +90,68 @@ def test_large_batch_order_preserved(worker_cmd):
     with ExternalClassifier(worker_cmd("length"), num_classes=2) as clf:
         labels = clf.classify_batch(texts)
     assert labels == [len(t) % 2 for t in texts]
+
+
+def test_sent_batches_get_their_own_replies(worker_cmd):
+    # the "length" worker labels by text length, so a reply given to the
+    # wrong batch shows
+    first, second, third = ["a", "bb"], ["ccc", "d", "ee", "f"], ["gg", "hhh", "i"]
+    with ExternalClassifier(worker_cmd("length"), num_classes=2) as clf:
+        clf.send(first)
+        clf.send(second)
+        # its reply comes after those of both sent batches, which are kept
+        assert clf.classify_batch(third) == [0, 1, 1]
+        assert clf.classify_batch(second) == [1, 1, 0, 1]
+        assert clf.classify_batch(first) == [1, 0]
+        assert clf.classify_batch(first) == [1, 0]  # collected: a new request
+
+
+def test_uncollected_batch_leaves_later_calls_intact(worker_cmd):
+    with ExternalClassifier(worker_cmd("length"), num_classes=2) as clf:
+        clf.send(["x", "y", "z"])
+        for texts in (["ab", "c"], ["def"], ["gh", "ijk", "l", "mn"]):
+            assert clf.classify_batch(texts) == [len(t) % 2 for t in texts]
+
+
+def test_unknown_reply_id_fails_at_once_with_batches_in_flight(worker_cmd):
+    with ExternalClassifier(worker_cmd("bad-id"), num_classes=2, timeout=30) as clf:
+        sent = [["x"], ["y", "z"]]
+        for texts in sent:
+            clf.send(texts)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="response id 1000 matches no request"):
+            clf.classify_batch(["w"])
+        for texts in sent:
+            with pytest.raises(TransportError, match="response id"):
+                clf.classify_batch(texts)
+        assert time.monotonic() - start < 5.0
+
+
+def test_threads_sharing_one_child_get_their_own_labels(worker_cmd):
+    # more threads than cores, switching often, each with batches in flight
+    def work(clf, seed, failures):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(20):
+                batches = [["t" * int(n) for n in rng.integers(1, 9, size=5)] for _ in range(3)]
+                for texts in batches[:2]:
+                    clf.send(texts)
+                for texts in batches[::-1]:
+                    assert clf.classify_batch(texts) == [len(t) % 2 for t in texts]
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        failures: list[Exception] = []
+        with ExternalClassifier(worker_cmd("length"), num_classes=2, timeout=20) as clf:
+            threads = [threading.Thread(target=work, args=(clf, i, failures)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
