@@ -132,7 +132,7 @@ class ExternalClassifier:
                 lambda: rid in self._replies or self._broken is not None, self.timeout
             )
             if not answered:
-                # a late reply would be taken for a live one: stop the child
+                # every later call fails now, so a child that may never answer is stopped
                 self._fail(f"no response within {self.timeout}s (request {rid})")
             reply = self._replies.pop(rid, None)
             failure = self._broken
