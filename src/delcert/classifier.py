@@ -8,7 +8,8 @@ fast exact model is what makes exhaustive oracle verification feasible.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from typing import Iterable, Protocol, Sequence, runtime_checkable
@@ -54,24 +55,30 @@ def classify_texts(model: BaseClassifier, slices: Iterable[Sequence[str]]) -> np
     Raises ``ValueError`` unless the calls return one integer label in
     ``[0, num_classes)`` per text.
     """
-    send = getattr(model, "send", None)
+    send = getattr(model, "send", lambda batch: None)
     index: dict[str, int] = {}
     inverse: list[int] = []
-    sent: list[list[str]] = []
     labels: list = []
-    for texts in slices:
-        known = len(index)
-        inverse += [index.setdefault(t, len(index)) for t in texts]
-        if len(index) == known:
-            continue
-        batch = list(islice(index, known, None))
-        if send is None:
-            labels += _labels_of(model, batch)
-        else:
-            send(batch)
-            sent.append(batch)
-    for batch in sent:
-        labels += _labels_of(model, batch)
+    unread: deque[list[str]] = deque()  # sent, not yet collected
+    try:
+        for texts in slices:
+            known = len(index)
+            inverse += [index.setdefault(t, len(index)) for t in texts]
+            if len(index) > known:
+                unread.append(list(islice(index, known, None)))
+                send(unread[-1])
+        while unread:
+            batch = unread.popleft()
+            got = model.classify_batch(batch)
+            if len(got) != len(batch):
+                raise ValueError(f"classifier returned {len(got)} labels for {len(batch)} texts")
+            labels += got
+    except Exception:
+        # collect the other sent lists, so that no reply is kept for them
+        for batch in unread:
+            with suppress(Exception):
+                model.classify_batch(batch)
+        raise
     if not labels:
         return np.zeros(0, dtype=np.int64)
     arr = np.asarray(labels)
@@ -82,13 +89,6 @@ def classify_texts(model: BaseClassifier, slices: Iterable[Sequence[str]]) -> np
     if arr.view(np.uint64).max() >= model.num_classes:
         raise ValueError("classifier returned an out-of-range label")
     return arr[inverse]
-
-
-def _labels_of(model: BaseClassifier, texts: list[str]) -> list:
-    got = model.classify_batch(texts)
-    if len(got) != len(texts):
-        raise ValueError(f"classifier returned {len(got)} labels for {len(texts)} texts")
-    return got
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,21 @@ answers on stdout, one object per line, UTF-8:
 
 Several requests can be in flight: :meth:`ExternalClassifier.send`
 writes one without waiting, and replies are matched to requests by id,
-so the child must keep reading its input while it answers.  Protocol
-failures (a reply that is malformed or whose id no request awaits, a
-wrong label count, a label that is not an integer class index, process
-exit, timeout) surface as :class:`TransportError`, never as
-classification results.  A timeout stops the child.  After a timeout,
-an unmatched reply or the end of the child's output, every later call
-on the adapter fails at once.  The timeout bounds the wait for a reply,
-not a write to a child that has stopped reading its input.
+so the child must keep reading its input while it answers.  The
+timeout bounds every wait on the child: for a reply to arrive, and for
+room in its input to write a request.  Protocol failures (a reply that
+is malformed or whose id no request awaits, a wrong label count, a label
+that is not an integer class index, process exit, timeout) surface as
+:class:`TransportError`, never as classification results.  A timeout
+stops the child.  After a timeout, an unmatched reply or the end of the
+child's output, every later call on the adapter fails at once.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import select
 import shlex
 import subprocess
 import threading
@@ -47,6 +49,12 @@ class ExternalClassifier:
             encoding="utf-8",
             bufsize=1,
         )
+        # requests are written unblocked, waiting at most the timeout for room
+        assert self._proc.stdin is not None
+        self._stdin = self._proc.stdin.fileno()
+        os.set_blocking(self._stdin, False)
+        self._room = select.poll()
+        self._room.register(self._stdin, select.POLLOUT)
         # writes hold only this lock, so the reader can always store a reply
         # and the child never blocks on a full output pipe
         self._write_lock = threading.Lock()
@@ -102,14 +110,28 @@ class ExternalClassifier:
                 self._next_id += 1
                 self._awaited.add(rid)
             try:
-                assert self._proc.stdin is not None
-                self._proc.stdin.write(f'{{"id": {rid}, "texts": {payload}}}\n')
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
+                self._write_all(f'{{"id": {rid}, "texts": {payload}}}\n'.encode())
+            except OSError as exc:
                 with self._state:
                     self._awaited.discard(rid)
                 raise TransportError(f"failed to write request: {exc}") from exc
         return rid
+
+    def _write_all(self, data: bytes) -> None:
+        # called with self._write_lock held; a child that makes no room for
+        # the timeout is stopped, like one that does not answer
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[os.write(self._stdin, view) :]
+            except BlockingIOError:
+                if not self._room.poll(self.timeout * 1000):
+                    with self._state:
+                        self._fail(f"no room to write a request within {self.timeout}s")
+                        self._state.notify_all()
+                    self._proc.kill()
+                    self._proc.wait()
+                    raise TimeoutError(f"no room within {self.timeout}s") from None
 
     def send(self, texts: Sequence[str]) -> None:
         """Write a request for ``texts`` without waiting for its reply.

@@ -12,6 +12,7 @@ Modes:
   bool       -- label true for every text
   range      -- label 2 for every text (out of range for two classes)
   slow       -- label 0 for every text, after a 2-second pause
+  hang       -- reads one request, then neither answers nor reads again
   close      -- closes its output at the first request, then lives on
                 until its input ends
 """
@@ -32,6 +33,8 @@ def main() -> None:
             continue
         msg = json.loads(line)
         texts = msg["texts"]
+        if mode == "hang":
+            time.sleep(3600)
         if mode == "close":
             os.close(sys.stdout.fileno())
             for _ in sys.stdin:

@@ -70,15 +70,48 @@ def test_classify_texts_sends_every_slice_before_collecting():
     expected = [len(t) % 3 for s in slices for t in s]
     # each slice's first-seen texts once; a slice with none makes no call
     batches = [["a", "bb"], ["ccc", "dddd"]]
+
+    def built(log):
+        for i, texts in enumerate(slices):
+            log.append(("build", i))
+            yield texts
+
     clf = SendingClassifier()
-    assert classify_texts(clf, iter(slices)).tolist() == expected
-    assert clf.log == [("send", b) for b in batches] + [("collect", b) for b in batches]
+    assert classify_texts(clf, built(clf.log)).tolist() == expected
+    assert clf.log == [
+        ("build", 0), ("send", batches[0]), ("build", 1), ("build", 2), ("send", batches[1]),
+        ("build", 3), ("collect", batches[0]), ("collect", batches[1]),
+    ]
     # every reply is collected from the very list that was sent
-    assert clf.log[0][1] is clf.log[2][1] and clf.log[1][1] is clf.log[3][1]
-    # without send, the same batches are classified slice by slice
+    assert clf.log[1][1] is clf.log[6][1] and clf.log[4][1] is clf.log[7][1]
+    # without send, the same batches are classified after the last slice
     clf = LoggingClassifier()
     assert classify_texts(clf, iter(slices)).tolist() == expected
     assert clf.log == [("collect", b) for b in batches]
+
+
+def test_classify_texts_collects_every_sent_list_after_a_failure():
+    class ShortReply(SendingClassifier):
+        def classify_batch(self, texts):
+            labels = super().classify_batch(texts)
+            return labels[:1] if texts == ["bb", "c"] else labels
+
+    slices = [["a"], ["bb", "c"], ["ddd"]]
+    clf = ShortReply()
+    with pytest.raises(ValueError, match="1 labels for 2 texts"):
+        classify_texts(clf, iter(slices))
+    assert [op for op, _ in clf.log] == ["send"] * 3 + ["collect"] * 3
+
+    def failing():
+        yield from slices[:2]
+        raise RuntimeError("slice failed")
+
+    clf = SendingClassifier()
+    with pytest.raises(RuntimeError, match="slice failed"):
+        classify_texts(clf, failing())
+    assert clf.log == [("send", ["a"]), ("send", ["bb", "c"])] + [
+        ("collect", ["a"]), ("collect", ["bb", "c"])
+    ]
 
 
 def _train_per_copy(data, mech, samples_per_instance, seed, scheme):

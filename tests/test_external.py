@@ -5,8 +5,12 @@ import time
 import numpy as np
 import pytest
 
+from delcert.certify import vote_counts
 from delcert.errors import TransportError
 from delcert.external import ExternalClassifier
+from delcert.mechanisms import MechanismKind, MechanismParams
+from delcert.rng import RandomStream
+from delcert.tokenization import tokenize
 
 
 def test_echo_classifier(worker_cmd):
@@ -90,6 +94,42 @@ def test_large_batch_order_preserved(worker_cmd):
     with ExternalClassifier(worker_cmd("length"), num_classes=2) as clf:
         labels = clf.classify_batch(texts)
     assert labels == [len(t) % 2 for t in texts]
+
+
+def test_child_that_stalls_during_certify_times_out(worker_cmd):
+    # the child reads the first request and then neither answers nor reads
+    # again; the draws make several slices whose requests add up to far more
+    # than a pipe buffer, so writing them ahead of the replies waits for room
+    x = tokenize(" ".join(f"token{i:03d}" for i in range(80)))
+    mech = MechanismParams(MechanismKind.DELETION, 0.5)
+    raised: list[Exception] = []
+
+    def certify_votes(clf):
+        try:
+            vote_counts(clf, x, mech, 4096, RandomStream(0).child(0).generator())
+        except Exception as exc:  # reported by the main thread
+            raised.append(exc)
+
+    with ExternalClassifier(worker_cmd("hang"), num_classes=2, timeout=0.5) as clf:
+        start = time.monotonic()
+        worker = threading.Thread(target=certify_votes, args=(clf,), daemon=True)
+        worker.start()
+        worker.join(timeout=20)
+        if worker.is_alive():
+            clf._proc.kill()  # unblock the write, so the test fails instead of hanging
+        assert not worker.is_alive() and time.monotonic() - start < 5.0
+    assert len(raised) == 1 and isinstance(raised[0], TransportError)
+    assert str(raised[0]) == "failed to write request: no room within 0.5s"
+
+
+def test_write_waits_for_a_slow_child_to_make_room(worker_cmd):
+    # each request fills more than a pipe buffer, so the second write waits
+    # until the child, busy for 2 s with the first, reads again
+    big = [["a" * 1000] * 70, ["bb" * 500] * 70]
+    with ExternalClassifier(worker_cmd("slow"), num_classes=2, timeout=5) as clf:
+        for texts in big:
+            clf.send(texts)
+        assert [clf.classify_batch(texts) for texts in big] == [[0] * 70] * 2
 
 
 def test_sent_batches_get_their_own_replies(worker_cmd):
