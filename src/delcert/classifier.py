@@ -8,11 +8,11 @@ fast exact model is what makes exhaustive oracle verification feasible.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
-from contextlib import suppress
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice, repeat
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ MODEL_FORMAT_VERSION = 1
 _SMOOTHING = 1.0
 
 
-@runtime_checkable
 class BaseClassifier(Protocol):
     """Anything that deterministically maps texts to class indices.
 
@@ -34,8 +33,8 @@ class BaseClassifier(Protocol):
     label may depend neither on the other texts of the batch, nor on
     their order, nor on earlier calls.  Callers rely on this to classify
     each distinct text once and reuse its label for every copy.  A
-    classifier may also offer ``send(texts)``, which starts classifying a
-    list that a later ``classify_batch`` of the same list collects (see
+    classifier may also offer ``send(texts)``, which starts classifying
+    ``texts`` and returns a function that waits for their labels (see
     :func:`classify_texts`).
     """
 
@@ -50,35 +49,27 @@ def classify_texts(model: BaseClassifier, slices: Iterable[Sequence[str]]) -> np
     Each distinct text is classified once: the texts that first occur in
     a slice go to ``model.classify_batch`` as one call, in first-occurrence
     order.  A model with a ``send`` method gets each such list sent as soon
-    as its slice is read and collected by ``classify_batch`` after the last
-    slice, so that it classifies one slice while the next one is built.
+    as its slice is read, and its labels collected after the last slice, so
+    that it classifies one slice while the next one is built.
     Raises ``ValueError`` unless the calls return one integer label in
     ``[0, num_classes)`` per text.
     """
-    send = getattr(model, "send", lambda batch: None)
+    send = getattr(model, "send", lambda batch: partial(model.classify_batch, batch))
     index: dict[str, int] = {}
     inverse: list[int] = []
+    sent = []  # (batch, the function that returns its labels)
+    for texts in slices:
+        known = len(index)
+        inverse += [index.setdefault(t, len(index)) for t in texts]
+        if len(index) > known:
+            batch = list(islice(index, known, None))
+            sent.append((batch, send(batch)))
     labels: list = []
-    unread: deque[list[str]] = deque()  # sent, not yet collected
-    try:
-        for texts in slices:
-            known = len(index)
-            inverse += [index.setdefault(t, len(index)) for t in texts]
-            if len(index) > known:
-                unread.append(list(islice(index, known, None)))
-                send(unread[-1])
-        while unread:
-            batch = unread.popleft()
-            got = model.classify_batch(batch)
-            if len(got) != len(batch):
-                raise ValueError(f"classifier returned {len(got)} labels for {len(batch)} texts")
-            labels += got
-    except Exception:
-        # collect the other sent lists, so that no reply is kept for them
-        for batch in unread:
-            with suppress(Exception):
-                model.classify_batch(batch)
-        raise
+    for batch, collect in sent:
+        got = collect()
+        if len(got) != len(batch):
+            raise ValueError(f"classifier returned {len(got)} labels for {len(batch)} texts")
+        labels += got
     if not labels:
         return np.zeros(0, dtype=np.int64)
     arr = np.asarray(labels)
@@ -255,7 +246,7 @@ def train_builtin(
         raise ValueError("training dataset is empty")
     labels = {label for _, label in data.items}
     if len(labels) < 2:
-        raise ValueError("training dataset must contain at least two classes")
+        raise DataFormatError("training dataset must contain at least two classes")
     if isinstance(stream, int):
         stream = RandomStream(stream)
 

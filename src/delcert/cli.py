@@ -97,21 +97,18 @@ def load_dataset(path: str) -> LabeledDataset:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
                 raise DataFormatError(f"{path}: CSV needs a text,label header")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    pairs.append((row["text"], int(row["label"])))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DataFormatError(f"{path}:{lineno}: bad row ({exc})") from exc
-        else:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    pairs.append((str(obj["text"]), int(obj["label"])))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise DataFormatError(f"{path}:{lineno}: bad row ({exc})") from exc
+            rows = enumerate(reader, start=2)
+        else:  # JSONL: one object per non-blank line
+            rows = ((lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip())
+        for lineno, row in rows:
+            try:
+                obj = json.loads(row) if isinstance(row, str) else row
+                text, label = str(obj["text"]), int(obj["label"])
+                if label < 0:
+                    raise ValueError(f"negative label {label}")
+                pairs.append((text, label))
+            except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+                raise DataFormatError(f"{path}:{lineno}: bad row ({exc})") from exc
     if not pairs:
         raise DataFormatError(f"{path}: dataset is empty")
     return LabeledDataset.from_pairs(pairs)
@@ -323,6 +320,8 @@ def cmd_cardinality(args: argparse.Namespace) -> int:
         tokens = args.tokens.split() if args.tokens else [f"t{i}" for i in range(n)]
         if len(tokens) != n:
             raise DataFormatError(f"--tokens has {len(tokens)} tokens but --length is {n}")
+        if len(set(tokens)) > v:
+            raise UsageError(f"--vocab-size {v} is below the {len(set(tokens))} distinct tokens")
         x = TokenSeq(tuple(tokens), Scheme.WHITESPACE)
         exact = lev_ball_cardinality_exact(x, v, r)
         emit("levenshtein_exact", exact)

@@ -7,15 +7,17 @@ answers on stdout, one object per line, UTF-8:
     response: {"id": <same int>, "labels": [<int>, ...]}
 
 Several requests can be in flight: :meth:`ExternalClassifier.send`
-writes one without waiting, and replies are matched to requests by id,
-so the child must keep reading its input while it answers.  The
-timeout bounds every wait on the child: for a reply to arrive, and for
-room in its input to write a request.  Protocol failures (a reply that
-is malformed or whose id no request awaits, a wrong label count, a label
-that is not an integer class index, process exit, timeout) surface as
-:class:`TransportError`, never as classification results.  A timeout
-stops the child.  After a timeout, an unmatched reply or the end of the
-child's output, every later call on the adapter fails at once.
+writes one without waiting and returns the function that waits for its
+labels.  Each request is one future, which the reply with its id
+resolves, so the child may answer in any order but must keep reading its
+input while it answers.  The timeout bounds every wait on the child: for
+a reply to arrive, and for room in its input to write a request.
+Protocol failures (a reply that is malformed or whose id no request
+awaits, a wrong label count, a label that is not an integer class index,
+process exit, timeout) surface as :class:`TransportError`, never as
+classification results.  A timeout stops the child.  After a timeout,
+an unmatched reply or the end of the child's output, every request in
+flight and every later call on the adapter fails at once.
 """
 
 from __future__ import annotations
@@ -26,14 +28,16 @@ import select
 import shlex
 import subprocess
 import threading
-from typing import Sequence
+from concurrent.futures import Future, TimeoutError as NoReply
+from functools import partial
+from typing import Callable, Sequence
 
 from .errors import TransportError
 
 
 class ExternalClassifier:
     """Wraps one child process; threads may share it, since each reply
-    goes to the caller whose request has its id."""
+    resolves the future of the request with its id."""
 
     def __init__(self, cmd: str | Sequence[str], num_classes: int, timeout: float = 60.0):
         self.num_classes = int(num_classes)
@@ -55,21 +59,19 @@ class ExternalClassifier:
         os.set_blocking(self._stdin, False)
         self._room = select.poll()
         self._room.register(self._stdin, select.POLLOUT)
-        # writes hold only this lock, so the reader can always store a reply
+        # writes hold only this lock, so the reader can always resolve a reply
         # and the child never blocks on a full output pipe
         self._write_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards every field below
         self._next_id = 0
-        self._state = threading.Condition()  # guards every field below
-        self._awaited: set[int] = set()  # ids written, not yet answered
-        self._replies: dict[int, dict] = {}  # answered, not yet collected
-        self._sent: dict[int, tuple[Sequence[str], int]] = {}  # by id() of a sent list
+        self._pending: dict[int, Future] = {}  # written, not yet answered
         # the failure that stopped the child; set, it fails every later call
         self._broken: str | None = None
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
 
     def _pump(self) -> None:
-        """Store each reply for its request until the child's output ends."""
+        """Resolve each reply's request until the child's output ends."""
         assert self._proc.stdout is not None
         for line in self._proc.stdout:
             try:
@@ -77,29 +79,30 @@ class ExternalClassifier:
             except json.JSONDecodeError:
                 reply = None
             rid = reply.get("id") if isinstance(reply, dict) else None
-            with self._state:
-                if type(rid) is int and rid in self._awaited:
-                    self._awaited.remove(rid)
-                    self._replies[rid] = reply
-                elif reply is None:
-                    self._fail(f"malformed response line: {line!r}")
-                else:
-                    self._fail(f"response id {rid!r} matches no request awaiting a reply")
-                self._state.notify_all()
-        with self._state:
-            self._fail("classifier process closed its output stream")
-            self._state.notify_all()
+            with self._lock:
+                request = self._pending.pop(rid, None) if type(rid) is int else None
+            if request is not None:
+                request.set_result(reply.get("labels"))
+            elif reply is None:
+                self._fail(f"malformed response line: {line!r}")
+            else:
+                self._fail(f"response id {rid!r} matches no request awaiting a reply")
+        self._fail("classifier process closed its output stream")
 
     def _fail(self, reason: str) -> None:
-        # called with self._state held; the first failure is the one reported
-        if self._broken is None:
-            self._broken = reason
+        """Record the first failure and fail every request in flight with it."""
+        with self._lock:
+            self._broken = self._broken or reason
+            pending, self._pending = self._pending, {}
+        for request in pending.values():
+            request.set_exception(TransportError(self._broken))
 
-    def _write(self, texts: Sequence[str]) -> int:
-        """Write one request for ``texts``; return its id."""
+    def _write(self, texts: Sequence[str]) -> Future:
+        """Write one request for ``texts``; return the future of its labels."""
         payload = json.dumps(list(texts), ensure_ascii=False)
+        request = Future()
         with self._write_lock:
-            with self._state:
+            with self._lock:
                 if self._broken is not None:
                     raise TransportError(
                         f"classifier unusable after an earlier failure: {self._broken}"
@@ -108,14 +111,14 @@ class ExternalClassifier:
                     raise TransportError(f"classifier process exited with {self._proc.returncode}")
                 rid = self._next_id
                 self._next_id += 1
-                self._awaited.add(rid)
+                self._pending[rid] = request
             try:
                 self._write_all(f'{{"id": {rid}, "texts": {payload}}}\n'.encode())
             except OSError as exc:
-                with self._state:
-                    self._awaited.discard(rid)
+                with self._lock:
+                    self._pending.pop(rid, None)
                 raise TransportError(f"failed to write request: {exc}") from exc
-        return rid
+        return request
 
     def _write_all(self, data: bytes) -> None:
         # called with self._write_lock held; a child that makes no room for
@@ -126,44 +129,29 @@ class ExternalClassifier:
                 view = view[os.write(self._stdin, view) :]
             except BlockingIOError:
                 if not self._room.poll(self.timeout * 1000):
-                    with self._state:
-                        self._fail(f"no room to write a request within {self.timeout}s")
-                        self._state.notify_all()
+                    self._fail(f"no room to write a request within {self.timeout}s")
                     self._proc.kill()
                     self._proc.wait()
                     raise TimeoutError(f"no room within {self.timeout}s") from None
 
-    def send(self, texts: Sequence[str]) -> None:
-        """Write a request for ``texts`` without waiting for its reply.
+    def send(self, texts: Sequence[str]) -> Callable[[], list[int]]:
+        """Write a request for ``texts`` without waiting for its reply;
+        return the function that waits for its labels."""
+        return partial(self.classify_batch, texts, request=self._write(texts))
 
-        ``classify_batch`` called later with this same list object
-        collects the reply; each sent list is collected once.
-        """
-        rid = self._write(texts)
-        with self._state:
-            self._sent[id(texts)] = (texts, rid)  # the entry keeps the id() unique
-
-    def classify_batch(self, texts: Sequence[str]) -> list[int]:
-        """Labels of ``texts``: the reply to its earlier :meth:`send`, or to
-        a request written now."""
-        with self._state:
-            sent = self._sent.pop(id(texts), None)
-        rid = self._write(texts) if sent is None else sent[1]
-        with self._state:
-            answered = self._state.wait_for(
-                lambda: rid in self._replies or self._broken is not None, self.timeout
-            )
-            if not answered:
-                # every later call fails now, so a child that may never answer is stopped
-                self._fail(f"no response within {self.timeout}s (request {rid})")
-            reply = self._replies.pop(rid, None)
-            failure = self._broken
-        if reply is None:
-            if not answered:
-                self._proc.kill()
-                self._proc.wait()
-            raise TransportError(failure)
-        labels = reply.get("labels")
+    def classify_batch(self, texts: Sequence[str], *, request: Future | None = None) -> list[int]:
+        """Labels of ``texts``: the reply to ``request``, written by
+        :meth:`send`, or to a request written now."""
+        if request is None:
+            request = self._write(texts)
+        try:
+            labels = request.result(self.timeout)
+        except NoReply:  # before Python 3.11 not the builtin TimeoutError
+            # every later call fails now, so a child that may never answer is stopped
+            self._fail(f"no response within {self.timeout}s")
+            self._proc.kill()
+            self._proc.wait()
+            raise TransportError(self._broken) from None
         if not isinstance(labels, list) or len(labels) != len(texts):
             raise TransportError("response labels missing or of wrong length")
         for label in labels:

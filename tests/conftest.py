@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import sys
 import time
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,28 @@ def band_dataset(n_items: int, seed: int, own: int = 32, oth: int = 4, fill: int
         perm = rng.permutation(len(toks))
         pairs.append((" ".join(toks[p] for p in perm), label))
     return LabeledDataset.from_pairs(pairs, 2)
+
+
+def _children() -> set[int]:
+    """Pids of the test process's child processes, over all its threads."""
+    pids: set[int] = set()
+    for path in Path("/proc/self/task").glob("*/children"):
+        with suppress(OSError):  # the thread ended while it was listed
+            pids.update(map(int, path.read_text().split()))
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fails a test that leaves a child process of the test process behind."""
+    if not any(Path("/proc/self/task").glob("*/children")):
+        yield  # the system does not list child processes
+        return
+    before = _children()
+    yield
+    leaked = _children() - before
+    if leaked:
+        pytest.fail(f"the test left child processes behind: {sorted(leaked)}")
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@
 Modes:
   echo0      -- label 0 for every text
   length     -- label = text length mod 2 (order-sensitive responses)
+  swap       -- labels as "length", answering each pair of requests
+                second request first
   bad-id     -- answers with a wrong request id
   garbage    -- answers with non-JSON noise
   short      -- answers with too few labels
@@ -27,6 +29,7 @@ def main() -> None:
     mode = sys.argv[1] if len(sys.argv) > 1 else "echo0"
     if mode == "quit":
         return
+    held: list[str] = []  # "swap" replies not yet written
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -40,6 +43,13 @@ def main() -> None:
             for _ in sys.stdin:
                 pass
             return
+        if mode == "swap":
+            held.insert(0, json.dumps({"id": msg["id"], "labels": [len(t) % 2 for t in texts]}))
+            if len(held) == 2:
+                sys.stdout.write("\n".join(held) + "\n")
+                sys.stdout.flush()
+                held.clear()
+            continue
         if mode == "bad-id":
             out = {"id": msg["id"] + 1000, "labels": [0] * len(texts)}
         elif mode == "garbage":

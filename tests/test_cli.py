@@ -226,7 +226,8 @@ _REPORT = {"outcomes": [], "clean_accuracy": 1.0, "robust_accuracy": 1.0, "mean_
 @pytest.mark.parametrize(
     "case",
     ["report-not-json", "report-lacks-key", "report-no-success", "model-lacks-tokens",
-     "model-short-doc-counts", "records-not-numeric"],
+     "model-short-doc-counts", "records-not-numeric", "data-negative-label",
+     "train-single-class"],
 )
 def test_data_error_exit_3(trained, case, capsys):
     """A malformed input file exits 3 with one ``error:`` line, not a traceback."""
@@ -251,6 +252,15 @@ def test_data_error_exit_3(trained, case, capsys):
         "records-not-numeric": (
             "true_label,predicted,abstained,log10_cc_lb\n1,1,0,many\n",
             ["curve", "--records", str(bad), "--out", str(tmp_path / "curve.csv")],
+        ),
+        "data-negative-label": (
+            '{"text": "a b", "label": 0}\n{"text": "c", "label": -1}\n',
+            ["predict", "--model", str(model_path), "--data", str(bad), "--n-pred", "10",
+             "--out", str(tmp_path / "p.csv")],
+        ),
+        "train-single-class": (
+            '{"text": "a b", "label": 1}\n{"text": "c d", "label": 1}\n',
+            ["train", "--data", str(bad), "--out", str(tmp_path / "m.json")],
         ),
     }[case]
     bad.write_text(text, encoding="utf-8")
@@ -682,6 +692,9 @@ def _exit_code(argv) -> int:
         ["predict", "--num-classes", "3"],
         ["certify", "--config", "model=other.json", "--external-cmd", "never-started"],
         ["predict", "--config", "num_classes=3"],
+        # the default tokens t0 t1 t2 are more than the vocabulary of 2
+        ["cardinality", "--radius", "2", "--which", "exact", "--vocab-size", "2"],
+        ["cardinality", "--radius", "2", "--which", "all", "--exact", "--vocab-size", "2"],
     ],
 )
 def test_invalid_option_value_exit_2(trained, argv, capsys, monkeypatch):

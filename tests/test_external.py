@@ -1,11 +1,13 @@
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from delcert.certify import vote_counts
+from delcert.classifier import classify_texts
 from delcert.errors import TransportError
 from delcert.external import ExternalClassifier
 from delcert.mechanisms import MechanismKind, MechanismParams
@@ -61,6 +63,20 @@ def test_timeout_stops_child_and_breaks_adapter(worker_cmd):
         for _ in range(2):
             with pytest.raises(TransportError, match="earlier failure: no response within 0.2s"):
                 clf.classify_batch(["y"])
+
+
+def test_timeout_of_a_sent_request_fails_every_request_in_flight(worker_cmd):
+    with ExternalClassifier(worker_cmd("slow"), num_classes=2, timeout=0.2) as clf:
+        first, second = clf.send(["x"]), clf.send(["y"])
+        with pytest.raises(TransportError, match="no response within 0.2s"):
+            first()
+        assert clf._proc.poll() is not None  # the child was stopped
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="^no response within 0.2s"):
+            second()
+        with pytest.raises(TransportError, match="earlier failure: no response within 0.2s"):
+            clf.classify_batch(["z"])
+        assert time.monotonic() - start < 1.0
 
 
 def test_process_exit_is_transport_error(worker_cmd):
@@ -127,9 +143,8 @@ def test_write_waits_for_a_slow_child_to_make_room(worker_cmd):
     # until the child, busy for 2 s with the first, reads again
     big = [["a" * 1000] * 70, ["bb" * 500] * 70]
     with ExternalClassifier(worker_cmd("slow"), num_classes=2, timeout=5) as clf:
-        for texts in big:
-            clf.send(texts)
-        assert [clf.classify_batch(texts) for texts in big] == [[0] * 70] * 2
+        collectors = [clf.send(texts) for texts in big]
+        assert [collect() for collect in collectors] == [[0] * 70] * 2
 
 
 def test_sent_batches_get_their_own_replies(worker_cmd):
@@ -137,13 +152,19 @@ def test_sent_batches_get_their_own_replies(worker_cmd):
     # wrong batch shows
     first, second, third = ["a", "bb"], ["ccc", "d", "ee", "f"], ["gg", "hhh", "i"]
     with ExternalClassifier(worker_cmd("length"), num_classes=2) as clf:
-        clf.send(first)
-        clf.send(second)
+        collect_first, collect_second = clf.send(first), clf.send(second)
         # its reply comes after those of both sent batches, which are kept
         assert clf.classify_batch(third) == [0, 1, 1]
-        assert clf.classify_batch(second) == [1, 1, 0, 1]
-        assert clf.classify_batch(first) == [1, 0]
-        assert clf.classify_batch(first) == [1, 0]  # collected: a new request
+        assert collect_second() == [1, 1, 0, 1]
+        assert collect_first() == [1, 0]
+        assert clf.classify_batch(first) == [1, 0]  # a new request
+
+
+def test_replies_out_of_order_reach_their_own_requests(worker_cmd):
+    with ExternalClassifier(worker_cmd("swap"), num_classes=2, timeout=5) as clf:
+        collect_first, collect_second = clf.send(["a", "bb"]), clf.send(["ccc"])
+        assert collect_first() == [1, 0]
+        assert collect_second() == [1]
 
 
 def test_uncollected_batch_leaves_later_calls_intact(worker_cmd):
@@ -151,19 +172,31 @@ def test_uncollected_batch_leaves_later_calls_intact(worker_cmd):
         clf.send(["x", "y", "z"])
         for texts in (["ab", "c"], ["def"], ["gh", "ijk", "l", "mn"]):
             assert clf.classify_batch(texts) == [len(t) % 2 for t in texts]
+        assert clf._pending == {}  # the uncollected reply was dropped on arrival
+
+
+def test_requests_abandoned_by_classify_texts_leave_nothing_pending(worker_cmd):
+    def failing():
+        yield ["a", "bb"]
+        yield ["ccc", "a"]
+        raise RuntimeError("slice failed")
+
+    with ExternalClassifier(worker_cmd("length"), num_classes=2) as clf:
+        with pytest.raises(RuntimeError, match="slice failed"):
+            classify_texts(clf, failing())
+        assert clf.classify_batch(["ab", "c"]) == [0, 1]
+        assert clf._pending == {}
 
 
 def test_unknown_reply_id_fails_at_once_with_batches_in_flight(worker_cmd):
     with ExternalClassifier(worker_cmd("bad-id"), num_classes=2, timeout=30) as clf:
-        sent = [["x"], ["y", "z"]]
-        for texts in sent:
-            clf.send(texts)
+        collectors = [clf.send(["x"]), clf.send(["y", "z"])]
         start = time.monotonic()
         with pytest.raises(TransportError, match="response id 1000 matches no request"):
             clf.classify_batch(["w"])
-        for texts in sent:
+        for collect in collectors:
             with pytest.raises(TransportError, match="response id"):
-                clf.classify_batch(texts)
+                collect()
         assert time.monotonic() - start < 5.0
 
 
@@ -174,10 +207,10 @@ def test_threads_sharing_one_child_get_their_own_labels(worker_cmd):
         try:
             for _ in range(20):
                 batches = [["t" * int(n) for n in rng.integers(1, 9, size=5)] for _ in range(3)]
-                for texts in batches[:2]:
-                    clf.send(texts)
-                for texts in batches[::-1]:
-                    assert clf.classify_batch(texts) == [len(t) % 2 for t in texts]
+                collectors = [clf.send(texts) for texts in batches[:2]]
+                collectors.append(partial(clf.classify_batch, batches[2]))
+                for texts, collect in zip(batches[::-1], collectors[::-1]):
+                    assert collect() == [len(t) % 2 for t in texts]
         except Exception as exc:  # reported by the main thread
             failures.append(exc)
 
