@@ -1,13 +1,16 @@
 import csv
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 
 import pytest
 
 from delcert import FULL_OPS, LabeledDataset, Scheme, edit_distance, tokenize
 from delcert import cli
+from delcert.certify import clopper_pearson_lower
 from delcert.cli import main
 
 from conftest import marker_presence_dataset
@@ -865,15 +868,82 @@ _CERTIFY_SHA256 = "baa530b890f37c404a63667b5be01c5ce608a9a7b39e64196897400cd373e
 _EXTERNAL_CERTIFY_SHA256 = "f2ded1ed726e39a199d22120114c4918341aa476ad943af655ef39a469421f95"
 
 
-def test_certify_records_pinned(tmp_path, capsys):
+def _pinned_model(tmp_path):
     train_path, test_path = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
     write_jsonl(train_path, marker_presence_dataset(40, seed=71))
     write_jsonl(test_path, marker_presence_dataset(12, seed=72))
-    model, records = tmp_path / "model.json", tmp_path / "rec.csv"
+    model = tmp_path / "model.json"
     assert main(["train", "--data", str(train_path), "--out", str(model), "--seed", "3"]) == 0
+    return model, test_path
+
+
+def test_certify_records_pinned(tmp_path, capsys):
+    model, test_path = _pinned_model(tmp_path)
+    records = tmp_path / "rec.csv"
     assert main(["certify", "--model", str(model), "--data", str(test_path),
                  "--out", str(records)]) == 0
     assert hashlib.sha256(records.read_bytes()).hexdigest() == _CERTIFY_SHA256
+
+
+def _fresh_python(*args):
+    """Run ``args`` in a new interpreter that imports delcert from these sources."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_python_m_delcert_runs_the_cli():
+    out = _fresh_python("-m", "delcert", "cardinality", "--length", "3", "--radius", "1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "measure,length,vocab_size,radius,count,log10"
+
+
+def test_first_bound_in_two_threads_of_a_fresh_interpreter_pinned(tmp_path, capsys):
+    # in-process runs find scipy.special already loaded; here both --jobs
+    # threads can reach the first bound, and its import, at the same time
+    model, test_path = _pinned_model(tmp_path)
+    records = tmp_path / "rec.csv"
+    out = _fresh_python("-m", "delcert", "certify", "--model", str(model), "--data",
+                        str(test_path), "--jobs", "2", "--out", str(records))
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == _CERTIFY_SHA256
+
+
+#: imports the modules and runs the commands that compute no bound, then one bound
+_NO_BOUND_UNTIL_ASKED = """
+import sys
+import delcert, delcert.cli, delcert.classifier, delcert.oracle
+train, test, records, out = sys.argv[1:]
+for argv in (
+    ["train", "--data", train, "--out", out + "/model.json", "--seed", "3"],
+    ["predict", "--model", out + "/model.json", "--data", test, "--n-pred", "50",
+     "--out", out + "/pred.csv"],
+    ["curve", "--records", records, "--out", out + "/curve.csv"],
+    ["cardinality", "--length", "3", "--radius", "1", "--out", out + "/card.csv"],
+):
+    print("check:", argv[0], delcert.cli.main(argv))
+print("check:", "scipy.special" in sys.modules)
+from delcert.certify import clopper_pearson_lower
+value = clopper_pearson_lower(3, 10, 0.025)
+print("check:", "scipy.special" in sys.modules, repr(value))
+"""
+
+
+def test_scipy_special_loads_at_the_first_bound(tmp_path):
+    train_path, test_path = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    write_jsonl(train_path, marker_presence_dataset(20, seed=71))
+    write_jsonl(test_path, marker_presence_dataset(4, seed=72))
+    records = tmp_path / "rec.csv"
+    records.write_text("true_label,predicted,abstained,log10_cc_lb\n1,1,0,2.0\n", encoding="utf-8")
+    out = _fresh_python("-c", _NO_BOUND_UNTIL_ASKED, str(train_path), str(test_path),
+                        str(records), str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    expected = repr(clopper_pearson_lower(3, 10, 0.025))
+    checks = [line[7:] for line in out.stdout.splitlines() if line.startswith("check: ")]
+    assert checks == [
+        "train 0", "predict 0", "curve 0", "cardinality 0", "False", f"True {expected}",
+    ]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
