@@ -20,7 +20,7 @@ from .errors import DataFormatError
 from .mechanisms import MechanismKind, MechanismParams
 from .mechanisms import deletion_keep_matrix, masking_keep_matrix
 from .rng import RandomStream
-from .tokenization import Scheme, split_tokens, tokenize
+from .tokenization import Scheme, tokenize
 
 MODEL_FORMAT_VERSION = 1
 _SMOOTHING = 1.0
@@ -164,9 +164,11 @@ class BuiltinModel:
 
     def classify_batch(self, texts: Sequence[str]) -> list[int]:
         """Scores every text of the batch with one lookup and one segmented sum."""
-        token_lists = [split_tokens(t, self.scheme) for t in texts]
+        token_lists = list(map(self.scheme.splitter, texts))
         lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
-        rows = self.token_rows(list(chain.from_iterable(token_lists)))
+        flat = chain.from_iterable(token_lists)
+        rows = map(self._token_index.get, flat, repeat(len(self.tokens)))  # token_rows, streamed
+        rows = np.fromiter(rows, dtype=np.intp, count=int(lengths.sum()))
         scores = np.tile(self.log_prior, (len(texts), 1))
         if rows.size:
             # np.add.reduceat cannot sum an empty segment, so empty texts

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import GuardError, SchemeMismatchError
-from .tokenization import TokenSeq
+from .tokenization import Scheme, TokenSeq
 
 #: scale guards for the brute-force ball oracle
 _BALL_MAX_LEN = 8
@@ -175,17 +175,22 @@ def enumerate_ball(
     """Brute-force oracle for the radius-``radius`` edit ball around ``x``.
 
     Every sequence over ``alphabet`` whose length could be within reach
-    is generated and filtered by one batched edit-distance call on the
-    longest candidates: in lexicographic order, every ``|A|^(hi - m)``-th
-    of them starts with one of the length-``m`` candidates, whose
-    distance is that row's prefix column ``m``.  Guarded to desk scale;
-    this function exists to validate formulas.
+    is filtered by one batched edit-distance call on the longest
+    candidates: in lexicographic order, every ``|A|^(hi - m)``-th of
+    them starts with one of the length-``m`` candidates, whose distance
+    is that row's prefix column ``m``.  Members are picked by row index
+    from the process-wide tuples of :func:`_sequences` (65,536 sequences
+    at most), not built per call.  An alphabet token that ``x``'s scheme
+    forbids (``""`` under the whitespace scheme) raises ``TokenSeq``'s
+    ``ValueError`` whatever the radius.  Guarded to desk scale; this
+    function exists to validate formulas.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    alphabet = list(dict.fromkeys(alphabet))
+    alphabet = tuple(dict.fromkeys(alphabet))
     if not alphabet:
         raise ValueError("alphabet must be non-empty")
+    TokenSeq(alphabet, x.scheme)  # raises for a token no member may hold
     lo = max(0, len(x) - (radius if ops.allow_ins else 0))
     hi = len(x) + (radius if ops.allow_del else 0)
     if len(alphabet) > _BALL_MAX_ALPHABET or hi > _BALL_MAX_LEN:
@@ -195,15 +200,13 @@ def enumerate_ball(
         )
     ids = {tok: i for i, tok in enumerate(alphabet)}
     x_ids = [ids.setdefault(tok, len(ids)) for tok in x.tokens]
-    tokens = np.array(alphabet, dtype=object)
     longest = _universe(len(alphabet), hi)
     dist = kernels.edit_distance_ids(longest, x_ids, ops.allow_del, ops.allow_ins, ops.allow_sub)
     members: set[TokenSeq] = set()
     for m in range(lo, hi + 1):
-        stride = len(alphabet) ** (hi - m)
-        d = dist[::stride, m]
-        within = longest[::stride, :m][(d >= 0) & (d <= radius)]
-        members.update(TokenSeq(tuple(row), x.scheme) for row in tokens[within].tolist())
+        d = dist[:: len(alphabet) ** (hi - m), m]
+        seqs = _sequences(alphabet, x.scheme, m)
+        members.update([seqs[k] for k in np.flatnonzero((d >= 0) & (d <= radius)).tolist()])
     return members
 
 
@@ -214,6 +217,14 @@ def _universe(size: int, length: int) -> np.ndarray:
     grid = np.indices((size,) * length, dtype=np.int8).reshape(length, size**length).T
     grid.flags.writeable = False
     return grid
+
+
+@functools.lru_cache(maxsize=16)
+def _sequences(alphabet: tuple[str, ...], scheme: Scheme, length: int) -> tuple[TokenSeq, ...]:
+    """The rows of ``_universe(len(alphabet), length)`` as token sequences,
+    shared by every ball; 16 entries hold the nine lengths of one alphabet."""
+    rows = np.array(alphabet, dtype=object)[_universe(len(alphabet), length)].tolist()
+    return tuple(TokenSeq(tuple(row), scheme) for row in rows)
 
 
 def hamming_ball_cardinality(params: CardinalityParams) -> int:

@@ -126,10 +126,13 @@ def _smoothed_scores(
     sep = seqs[0].scheme.separator
     label_of: dict[str, int] = {}
 
+    def texts_of(rows: np.ndarray) -> list[str]:  # of zero-padded id rows
+        kept = np.count_nonzero(rows, axis=1).tolist()
+        return [sep.join(r[:k]) for r, k in zip(names[rows].tolist(), kept)]
+
     def classify(rows: np.ndarray) -> list[int]:
         """Labels of zero-padded id rows, each text classified once."""
-        kept = np.count_nonzero(rows, axis=1).tolist()
-        texts = [sep.join(r[:k]) for r, k in zip(names[rows].tolist(), kept)]
+        texts = texts_of(rows)
         # until the first texts are labelled, every text is new
         new = [t for t in texts if t not in label_of] if label_of else texts
         labels = classify_texts(model, [new]).tolist()
@@ -164,7 +167,8 @@ def _smoothed_scores(
                     label_at[keys[pos]] = pos + 1
                     pos = pos[label_at[keys[pos]] == pos + 1]
                     rows = block[(pos >> n)[:, None], table[pos & ((1 << n) - 1)]]
-                    label_at[keys[pos]] = np.array(classify(rows)) + 1
+                    # one row per unlabelled key: every text is new
+                    label_at[keys[pos]] = classify_texts(model, [texts_of(rows)]) + 1
                 labels = (label_at[keys] - 1).reshape(len(block), -1)
             else:
                 rows = np.ascontiguousarray(block[:, table]).reshape(-1, table.shape[1])

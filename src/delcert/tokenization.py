@@ -28,6 +28,11 @@ class Scheme(str, Enum):
         tokens as its input."""
         return "[MASK]" if self is Scheme.WHITESPACE else "\u2588"
 
+    @property
+    def splitter(self):
+        """The function :func:`split_tokens` applies to a text."""
+        return str.split if self is Scheme.WHITESPACE else _graphemes
+
 
 @dataclass(frozen=True)
 class TokenSeq:
@@ -64,7 +69,7 @@ def _graphemes(text: str) -> list[str]:
 
 def split_tokens(text: str, scheme: Scheme) -> list[str]:
     """The tokens of :func:`tokenize` as a plain list, without a :class:`TokenSeq`."""
-    return text.split() if scheme is Scheme.WHITESPACE else _graphemes(text)
+    return scheme.splitter(text)
 
 
 def tokenize(text: str, scheme: Scheme | str = Scheme.WHITESPACE) -> TokenSeq:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import pytest
@@ -204,6 +205,34 @@ def test_ball_monotone_in_radius():
         b1 = enumerate_ball(x, 1, ops, ["a", "b"])
         b2 = enumerate_ball(x, 2, ops, ["a", "b"])
         assert b0 <= b1 <= b2
+
+
+def test_ball_members_per_alphabet_and_scheme():
+    # balls share member objects within a process; each alphabet and
+    # scheme must still get its own, equal to a per-member filter
+    C = Scheme.CHARACTER
+    cases = [(("a", "b"), W), (("a", "b"), C), (("b", "c"), W), (("x", "y"), C)]
+    for _ in range(2):
+        for alphabet, scheme in cases:
+            x = TokenSeq(alphabet[:1] * 2, scheme)
+            want = {
+                TokenSeq(t, scheme)
+                for n in range(5)
+                for t in itertools.product(alphabet, repeat=n)
+                if edit_distance(TokenSeq(t, scheme), x) <= 2
+            }
+            got = enumerate_ball(x, 2, FULL_OPS, alphabet)
+            assert got == want
+            assert {m.scheme for m in got} == {scheme}
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_ball_rejects_empty_whitespace_token(radius):
+    # raised up front, also at radius 0, where no member holds the token
+    with pytest.raises(ValueError, match="non-empty"):
+        enumerate_ball(tokenize("a"), radius, SUB, ["a", ""])
+    got = enumerate_ball(tokenize("a", Scheme.CHARACTER), radius, SUB, ["a", ""])
+    assert {s.tokens for s in got} == ({("a",), ("",)} if radius else {("a",)})
 
 
 def test_ball_guards():

@@ -17,14 +17,22 @@ XS = [(), (0,), (1, 2), (0, 0, 1), (2, 1, 0, 1), (3,), (0, 3, 1), (4, 4, 2, 0)]
 def test_rows_equal_scalar(ops):
     flags = (ops.allow_del, ops.allow_ins, ops.allow_sub)
     scalar = functools.cache(lambda row, x: edit_distance_ids(row, x, *flags))
+    rng = np.random.default_rng(5)
     for m in range(7):
         rows = list(itertools.product(range(3), repeat=m))
-        cands = np.array(rows, dtype=np.int8).reshape(3**m, m)
-        for x in XS:
-            got = edit_distance_ids(cands, x, *flags)
-            # column i holds the distance of every row's i-prefix
-            want = [[scalar(row[:i], x) for i in range(m + 1)] for row in rows]
-            assert got.tolist() == want, (m, x)
+        # lexicographic (the ball's universe), shuffled, neighbouring
+        # duplicates and no rows: prefixes are shared only between equal
+        # neighbours, which each order arranges differently
+        orders = [rows, [rows[k] for k in rng.permutation(len(rows))]]
+        orders += [[row for row in rows for _ in range(2)], []]
+        for order in orders:
+            cands = np.array(order, dtype=np.int8).reshape(len(order), m)
+            for x in XS:
+                got = edit_distance_ids(cands, x, *flags)
+                assert got.shape == (len(order), m + 1)
+                # column i holds the distance of every row's i-prefix
+                want = [[scalar(row[:i], x) for i in range(m + 1)] for row in order]
+                assert got.tolist() == want, (m, x)
 
 
 def test_unreachable_is_minus_one():
