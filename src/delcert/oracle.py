@@ -8,6 +8,7 @@ The oracle exists to validate formulas, not to certify real inputs.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -26,6 +27,8 @@ _ENUM_MAX_TOKENS = 18
 _BLOCK_ROWS = 1 << 14
 #: largest subsequence key space whose labels are kept in a dense table
 _DENSE_MAX_KEYS = 1 << 20
+#: per thread, the float scores and text labels of the last input verified (see verify_certificate)
+_last_verified = threading.local()
 
 
 @dataclass(frozen=True)
@@ -90,16 +93,23 @@ def _key_weights(n: int, base: int) -> np.ndarray:
 
 
 def _smoothed_scores(
-    model: BaseClassifier, seqs: Sequence[TokenSeq], p_del: float, exact: bool
+    model: BaseClassifier,
+    seqs: Sequence[TokenSeq],
+    p_del: float,
+    exact: bool,
+    label_of: dict[str, int] | None = None,
 ) -> list[ExactScores]:
     """Exact smoothed scores of each sequence, in input order.
 
     Sequences of one length are scored together, each distinct text is
-    classified once per call, and patterns are counted per
-    ``(tokens deleted, class)``.  With ``Fraction(p_del) == M / e``, a
-    pattern deleting ``k`` of ``n`` tokens has mass
-    ``M^k (e - M)^(n - k) / e^n``, so each probability is one ratio of
-    integers: a ``Fraction`` when ``exact``, else the nearest float.
+    classified once per call (once over all calls that share the
+    text-to-label dict ``label_of``, which is read and extended), and
+    patterns are counted per ``(tokens deleted, class)``.  With
+    ``Fraction(p_del) == M / e``, a pattern deleting ``k`` of ``n``
+    tokens has mass ``M^k (e - M)^(n - k) / e^n``, so each probability
+    is one ratio of integers: a ``Fraction`` when ``exact``, else the
+    nearest float.  ``p_del`` outside [0, 1], or NaN, raises
+    ``ValueError``.
 
     The ``V`` distinct tokens of the call get ids 1..V (the enumeration
     guards keep ``V`` well under 256, so ids fit in a byte).  A kept
@@ -109,14 +119,16 @@ def _smoothed_scores(
     length ``n_max``, and a block's keys are one product of its id rows
     with :func:`_key_weights`.  Labels are then read from a dense table
     indexed by key: a block marks the rows whose keys have no label yet,
-    keeps one row per such key, classifies those kept subsequences and
-    gathers every row's label.  The table is used when the key space is
-    at most ``_DENSE_MAX_KEYS`` and at most the call's number of
-    (sequence, pattern) rows.  Otherwise (one 18-token input with
+    keeps one row per such key, labels those kept subsequences (through
+    ``label_of``) and gathers every row's label.  The table is used when
+    the key space is at most ``_DENSE_MAX_KEYS`` and at most the call's
+    number of (sequence, pattern) rows.  Otherwise (one 18-token input with
     several distinct tokens, or any input whose table would outnumber
     its rows, such as a single sequence) each block gathers its kept
     subsequences as rows of byte ids and deduplicates them by sorting.
     """
+    if not 0 <= p_del <= 1:
+        raise ValueError(f"p_del must be in [0, 1], got {p_del!r}")
     p = Fraction(p_del)
     m, e = p.numerator, p.denominator
     classes = model.num_classes
@@ -124,20 +136,17 @@ def _smoothed_scores(
     names = np.array(["", *vocab], dtype=object)
     token_id = {tok: i for i, tok in enumerate(names)}
     sep = seqs[0].scheme.separator
-    label_of: dict[str, int] = {}
+    label_of = {} if label_of is None else label_of
 
-    def texts_of(rows: np.ndarray) -> list[str]:  # of zero-padded id rows
-        kept = np.count_nonzero(rows, axis=1).tolist()
-        return [sep.join(r[:k]) for r, k in zip(names[rows].tolist(), kept)]
-
-    def classify(rows: np.ndarray) -> list[int]:
+    def classify(rows: np.ndarray) -> np.ndarray:
         """Labels of zero-padded id rows, each text classified once."""
-        texts = texts_of(rows)
+        kept = np.count_nonzero(rows, axis=1).tolist()
+        texts = [sep.join(r[:k]) for r, k in zip(names[rows].tolist(), kept)]
         # until the first texts are labelled, every text is new
         new = [t for t in texts if t not in label_of] if label_of else texts
-        labels = classify_texts(model, [new]).tolist()
-        label_of.update(zip(new, labels))
-        return labels if new is texts else [label_of[t] for t in texts]
+        labels = classify_texts(model, [new])
+        label_of.update(zip(new, labels.tolist()))
+        return labels if new is texts else np.array([label_of[t] for t in texts])
 
     scores_of: dict[tuple, ExactScores] = {}  # by counts, which many sequences share
     by_length: dict[int, list[int]] = {}
@@ -167,15 +176,14 @@ def _smoothed_scores(
                     label_at[keys[pos]] = pos + 1
                     pos = pos[label_at[keys[pos]] == pos + 1]
                     rows = block[(pos >> n)[:, None], table[pos & ((1 << n) - 1)]]
-                    # one row per unlabelled key: every text is new
-                    label_at[keys[pos]] = classify_texts(model, [texts_of(rows)]) + 1
+                    label_at[keys[pos]] = classify(rows) + 1
                 labels = (label_at[keys] - 1).reshape(len(block), -1)
             else:
                 rows = np.ascontiguousarray(block[:, table]).reshape(-1, table.shape[1])
                 keys = rows.view(np.uint64 if rows.shape[1] == 8 else f"V{rows.shape[1]}").ravel()
                 distinct, inverse = np.unique(keys, return_inverse=True)
                 rows = distinct.view(np.uint8).reshape(len(distinct), -1)
-                labels = np.array(classify(rows))[inverse].reshape(len(block), -1)
+                labels = classify(rows)[inverse].reshape(len(block), -1)
             cell = (np.arange(len(block))[:, None] * (n + 1) + n_deleted) * classes + labels
             counts = np.bincount(cell.ravel(), minlength=len(block) * (n + 1) * classes)
             for i, row in zip(idx[start:], map(tuple, counts.reshape(len(block), -1).tolist())):
@@ -256,13 +264,33 @@ def verify_certificate(
 
     ``x`` and its ball are scored in one batched pass (the scores of
     :func:`exact_smoothed_scores`), so that a text shared by several
-    sequences is classified once.  Returns the members whose prediction
-    differs from the one at ``x``, sorted by tokens; an empty list means
-    the claimed radius survived brute force.
+    sequences is classified once.  Each thread keeps the scores and text
+    labels of the last input it verified, for one model object (held by
+    reference until the thread verifies another input, and compared with
+    ``is``), one ``x`` and one ``p_del``.  A call with the same three
+    scores only the sequences not scored yet and classifies only texts
+    not labelled yet, so the seven operation sets of one input score the
+    union of their balls once; any other model, input or ``p_del``
+    starts afresh, and nothing is shared between inputs.  Reusing a score
+    relies on the model being pure (see :class:`BaseClassifier`).
+    Returns the members whose prediction differs from the one at ``x``,
+    sorted by tokens; an empty list means the claimed radius survived
+    brute force.
     """
-    members = list(enumerate_ball(x, radius, ops, alphabet))
-    at_x, *scores = _smoothed_scores(model, [x, *members], p_del, exact=False)
-    top = at_x.argmax
-    distinct = {id(s): s for s in scores}  # members with equal counts share one object
+    ball = enumerate_ball(x, radius, ops, alphabet)
+    memo = _last_verified
+    if getattr(memo, "model", None) is not model or memo.x != x or memo.p_del != p_del:
+        memo.model, memo.x, memo.p_del, memo.scores, memo.labels = model, x, p_del, {}, {}
+    # keyed by tokens, which hash faster: the ball shares x's scheme
+    scores: dict[tuple[str, ...], ExactScores] = memo.scores
+    new = [m for m in ball if m.tokens not in scores]
+    if x.tokens not in scores and x not in ball:
+        new.append(x)
+    if new:
+        got = _smoothed_scores(model, new, p_del, False, memo.labels)
+        scores.update(zip([m.tokens for m in new], got))
+    top = scores[x.tokens].argmax
+    at = [scores[m.tokens] for m in ball]
+    distinct = {id(s): s for s in at}  # members with equal counts share one object
     flipped = {key for key, s in distinct.items() if s.argmax != top}
-    return sorted((m for m, s in zip(members, scores) if id(s) in flipped), key=lambda m: m.tokens)
+    return sorted((m for m, s in zip(ball, at) if id(s) in flipped), key=lambda m: m.tokens)

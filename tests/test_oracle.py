@@ -2,11 +2,15 @@ import functools
 import itertools
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from delcert import (
+    ALL_OPS_SETS,
     FULL_OPS,
     EditOpsSet,
     Scheme,
@@ -64,6 +68,22 @@ def test_guards():
     kw = KeywordClassifier()
     with pytest.raises(GuardError):
         exact_smoothed_scores(kw, TokenSeq(("t",) * 19, W), 0.5)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
+def test_deletion_rate_outside_unit_interval_raises(p):
+    kw = KeywordClassifier()
+    x = tokenize("a b")
+    with pytest.raises(ValueError, match="p_del"):
+        exact_smoothed_scores(kw, x, p)
+    with pytest.raises(ValueError, match="p_del"):
+        verify_certificate(kw, x, 1, FULL_OPS, ["a", "b"], p)
+
+
+def test_deletion_rate_one_deletes_everything():
+    kw = KeywordClassifier()
+    assert exact_smoothed_scores(kw, tokenize("a b"), 1.0).probs == (1.0, 0.0)
+    assert verify_certificate(kw, tokenize("b"), 1, FULL_OPS, ["a", "b"], 1.0) == []
 
 
 class TokenSumClassifier:
@@ -250,6 +270,13 @@ def test_inflated_radius_caught():
     assert all(exact_smoothed_scores(kw, v, 0.5).argmax != 0 for v in violations)
 
 
+def _per_member_reference(model, x, radius, ops, alphabet, p):
+    """The violations of ``verify_certificate``, every member scored on its own."""
+    top = exact_smoothed_scores(model, x, p).argmax
+    members = sorted(enumerate_ball(x, radius, ops, alphabet), key=lambda m: m.tokens)
+    return [m for m in members if exact_smoothed_scores(model, m, p).argmax != top]
+
+
 def test_verify_classifies_each_text_once():
     kw = KeywordClassifier()
     cases = (("b b", 3, FULL_OPS), ("a b", 2, FULL_OPS), ("b a", 2, EditOpsSet(False, True, True)))
@@ -258,12 +285,159 @@ def test_verify_classifies_each_text_once():
         # CountingClassifier fails the call if any text reaches the model twice
         found = verify_certificate(CountingClassifier(kw), x, r, ops, ["a", "b", "c"], 0.5)
         assert found == verify_certificate(kw, x, r, ops, ["a", "b", "c"], 0.5)
-        # the per-member reference: every member scored on its own
-        top = exact_smoothed_scores(kw, x, 0.5).argmax
-        members = sorted(enumerate_ball(x, r, ops, ["a", "b", "c"]), key=lambda m: m.tokens)
-        assert found == [m for m in members if exact_smoothed_scores(kw, m, 0.5).argmax != top]
+        assert found == _per_member_reference(kw, x, r, ops, ["a", "b", "c"], 0.5)
 
 
 def test_constant_classifier_never_violates():
     const = ConstantClassifier(1)
     assert verify_certificate(const, tokenize("a b"), 3, FULL_OPS, ["a", "b"], 0.8) == []
+
+
+def _seven_ops_checks(model, x, p):
+    """``(radius, ops)`` of every operation set: the certified radius, then
+    that radius raised by two, each clipped as acceptance criterion 01
+    clips them."""
+    s = exact_smoothed_scores(model, x, p)
+    checks = []
+    for ops in ALL_OPS_SETS:
+        r = radius_from_margin(s.probs[s.argmax], s.probs[s.runner_up()], p, ops)
+        hi = 8 - len(x) if ops.allow_del else len(x)
+        checks += [(min(r, hi), ops), (min(r + 2, hi), ops)]
+    return checks
+
+
+@pytest.mark.parametrize("model", [KeywordClassifier("a"), TokenSumClassifier()],
+                         ids=["keyword", "three-class"])
+def test_seven_ops_loop_matches_per_member_reference(model):
+    x, p, alphabet = tokenize("a b c"), 0.5, ["a", "b", "c"]
+    checks = _seven_ops_checks(model, x, p)
+    counting = CountingClassifier(model)  # shared by every call: no text is classified twice
+    found = [verify_certificate(counting, x, r, ops, alphabet, p) for r, ops in checks]
+    assert found == [_per_member_reference(model, x, r, ops, alphabet, p) for r, ops in checks]
+    assert any(found)  # the raised radii are overstated
+    # each distinct text of the union of the balls reached the model once
+    union = {m for r, ops in checks for m in enumerate_ball(x, r, ops, alphabet)} | {x}
+    texts = {" ".join(kept) for m in union for n in range(len(m) + 1)
+             for kept in itertools.combinations(m.tokens, n)}
+    assert sorted(counting.order) == sorted(texts)
+
+
+def test_scores_are_not_reused_for_another_model():
+    x, alphabet = tokenize("b b"), ["a", "b"]
+    keyword, const = KeywordClassifier("a"), ConstantClassifier(0)
+    expected = _per_member_reference(keyword, x, 2, FULL_OPS, alphabet, 0.5)
+    assert expected
+    for model, violations in ((keyword, expected), (const, []), (keyword, expected)):
+        assert verify_certificate(model, x, 2, FULL_OPS, alphabet, 0.5) == violations
+    # an equal classifier is another object: its texts are classified again
+    for label in (0, 1):
+        counting = CountingClassifier(ConstantClassifier(label))
+        assert verify_certificate(counting, x, 2, FULL_OPS, alphabet, 0.5) == []
+        assert "b b" in counting.order
+
+
+def test_scores_are_not_reused_for_another_deletion_rate():
+    kw, x, alphabet = KeywordClassifier("a"), tokenize("b b"), ["a", "b"]
+    assert _per_member_reference(kw, x, 2, FULL_OPS, alphabet, 0.8) == []
+    expected = _per_member_reference(kw, x, 2, FULL_OPS, alphabet, 0.5)
+    assert expected
+    for p, violations in ((0.8, []), (0.5, expected), (0.8, [])):
+        assert verify_certificate(kw, x, 2, FULL_OPS, alphabet, p) == violations
+
+
+def test_scores_are_kept_for_one_input():
+    counting = CountingClassifier(KeywordClassifier("a"))
+    x, y, alphabet = tokenize("a b"), tokenize("b b"), ["a", "b"]
+    for z in (x, y, x):
+        counting.reset()
+        assert verify_certificate(counting, z, 1, FULL_OPS, alphabet, 0.5) == (
+            _per_member_reference(counting.inner, z, 1, FULL_OPS, alphabet, 0.5))
+        assert " ".join(z.tokens) in counting.order  # a new input is scored afresh
+        counting.order.clear()
+        verify_certificate(counting, z, 1, EditOpsSet(False, True, True), alphabet, 0.5)
+        assert counting.order == []  # its substitution ball lies inside the full one
+
+
+def test_threads_keep_their_own_scores():
+    alphabet, p = ["a", "b", "c"], 0.5
+    inputs = [tokenize("a b c"), tokenize("b c b")]
+    barriers = [threading.Barrier(2, timeout=60) for _ in range(2)]
+
+    def verify_all(i):
+        x = inputs[i]
+        checks = _seven_ops_checks(KeywordClassifier("a"), x, p)
+        model = CountingClassifier(KeywordClassifier("a"))
+        found = []
+        for step, (r, ops) in enumerate(checks):
+            if step == 0:
+                # the first thread verifies once, then the second once, then
+                # both go on at once; neither may classify a text twice
+                if i == 1:
+                    barriers[0].wait()
+                found.append(verify_certificate(model, x, r, ops, alphabet, p))
+                if i == 0:
+                    barriers[0].wait()
+                barriers[1].wait()
+            else:
+                found.append(verify_certificate(model, x, r, ops, alphabet, p))
+        return found
+
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(verify_all, range(2), timeout=120))
+    for x, found in zip(inputs, results):
+        kw = KeywordClassifier("a")
+        checks = _seven_ops_checks(kw, x, p)
+        assert found == [_per_member_reference(kw, x, r, ops, alphabet, p) for r, ops in checks]
+
+
+def test_threads_switching_often_get_correct_results():
+    alphabet, p = ["a", "b", "c"], 0.5
+    cases = [(KeywordClassifier("a"), tokenize("a b c")), (KeywordClassifier("a"), tokenize("b c b")),
+             (TokenSumClassifier(), tokenize("a b c")), (TokenSumClassifier(), tokenize("c a"))]
+    expected = [[_per_member_reference(model, x, r, ops, alphabet, p)
+                 for r, ops in _seven_ops_checks(model, x, p)] for model, x in cases]
+
+    def verify_all(case):
+        model, x = case
+        counting = CountingClassifier(model)  # fails if another thread's call resets the scores
+        return [verify_certificate(counting, x, r, ops, alphabet, p)
+                for r, ops in _seven_ops_checks(model, x, p)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(cases)) as pool:  # more threads than cores
+            results = list(pool.map(verify_all, cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
+class SubstringClassifier:
+    """Class 1 iff the text contains the character ``a`` anywhere."""
+
+    num_classes = 2
+
+    def classify_batch(self, texts):
+        return [int("a" in t) for t in texts]
+
+
+@pytest.mark.parametrize(
+    "model, x, radius, alphabet",
+    [
+        # a token outside the alphabet: no member holds it
+        (KeywordClassifier("a"), tokenize("a d"), 2, ["a", "b", "c"]),
+        # the empty token: members with different tokens share one text
+        (SubstringClassifier(), tokenize("bab", Scheme.CHARACTER), 2, ["a", "", "b"]),
+        (TokenSumClassifier(), tokenize("a a"), 2, ["a", "b", "c"]),
+        # the ball reaches the empty sequence
+        (KeywordClassifier("a"), tokenize("a b"), 3, ["a", "b"]),
+    ],
+    ids=["foreign-token", "empty-token", "three-class", "empty-member"],
+)
+def test_verify_edge_cases_match_per_member_reference(model, x, radius, alphabet):
+    for p in (0.5, 0.8):
+        for ops in ALL_OPS_SETS:
+            expected = _per_member_reference(model, x, radius, ops, alphabet, p)
+            assert verify_certificate(model, x, radius, ops, alphabet, p) == expected, (p, ops)
+    assert _per_member_reference(model, x, radius, FULL_OPS, alphabet, 0.5)
