@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifier import BaseClassifier, classify_texts
-from .edit_metrics import EditOpsSet, FULL_OPS, enumerate_ball
+from .edit_metrics import EditOpsSet, FULL_OPS, edit_distance, enumerate_ball
 from .errors import GuardError, SchemeMismatchError
 from .tokenization import TokenSeq
 
@@ -27,7 +27,7 @@ _ENUM_MAX_TOKENS = 18
 _BLOCK_ROWS = 1 << 14
 #: largest subsequence key space whose labels are kept in a dense table
 _DENSE_MAX_KEYS = 1 << 20
-#: per thread, the float scores and text labels of the last input verified (see verify_certificate)
+#: per thread, the scores, labels and verified balls of the last input (see verify_certificate)
 _last_verified = threading.local()
 
 
@@ -264,23 +264,44 @@ def verify_certificate(
 
     ``x`` and its ball are scored in one batched pass (the scores of
     :func:`exact_smoothed_scores`), so that a text shared by several
-    sequences is classified once.  Each thread keeps the scores and text
-    labels of the last input it verified, for one model object (held by
-    reference until the thread verifies another input, and compared with
-    ``is``), one ``x`` and one ``p_del``.  A call with the same three
-    scores only the sequences not scored yet and classifies only texts
-    not labelled yet, so the seven operation sets of one input score the
-    union of their balls once; any other model, input or ``p_del``
-    starts afresh, and nothing is shared between inputs.  Reusing a score
-    relies on the model being pure (see :class:`BaseClassifier`).
+    sequences is classified once.  Each thread keeps a memo of the last
+    input it verified, for one model object (held by reference until the
+    thread verifies another input, and compared with ``is``), one ``x``
+    and one ``p_del``: the scores and text labels it has computed, and
+    the operation set, radius, alphabet and violations of each ball it
+    has enumerated.  Any other model, input or ``p_del`` starts afresh,
+    and nothing is shared between inputs.
+
+    Allowing more operations or a larger radius can only grow a ball:
+    with ``ops`` inside ``wider`` (every operation ``ops`` allows,
+    ``wider`` allows too), ``edit_distance(c, x, wider) <=
+    edit_distance(c, x, ops)``, so the ball of ``radius`` and ``ops``
+    lies inside the ball of any larger radius and ``wider`` over the
+    same alphabet.  A call whose ball lies inside one the memo holds
+    enumerates nothing: its violations are that ball's violations within
+    its own radius.  Any other call enumerates its ball, scores only the
+    members (and ``x``) not scored yet and classifies only texts not
+    labelled yet, so the seven operation sets of one input score the
+    union of their balls once.  Verified in ``ALL_OPS_SETS`` order, the
+    full set comes first, and every later set whose radius is no larger
+    reuses its ball.  Reusing a score relies on the model being pure
+    (see :class:`BaseClassifier`).
+
     Returns the members whose prediction differs from the one at ``x``,
     sorted by tokens; an empty list means the claimed radius survived
     brute force.
     """
-    ball = enumerate_ball(x, radius, ops, alphabet)
+    alphabet = tuple(dict.fromkeys(alphabet))  # read a one-shot iterator once
     memo = _last_verified
     if getattr(memo, "model", None) is not model or memo.x != x or memo.p_del != p_del:
         memo.model, memo.x, memo.p_del, memo.scores, memo.labels = model, x, p_del, {}, {}
+        memo.balls = []
+    for wider, r, a, violations in memo.balls:
+        # a negative radius is left to enumerate_ball to reject; the guards
+        # cannot trip here, as no member is longer than the wider ball's
+        if 0 <= radius <= r and a == alphabet and set(ops.letters) <= set(wider.letters):
+            return [m for m in violations if edit_distance(m, x, ops) <= radius]
+    ball = enumerate_ball(x, radius, ops, alphabet)
     # keyed by tokens, which hash faster: the ball shares x's scheme
     scores: dict[tuple[str, ...], ExactScores] = memo.scores
     new = [m for m in ball if m.tokens not in scores]
@@ -293,4 +314,6 @@ def verify_certificate(
     at = [scores[m.tokens] for m in ball]
     distinct = {id(s): s for s in at}  # members with equal counts share one object
     flipped = {key for key, s in distinct.items() if s.argmax != top}
-    return sorted((m for m, s in zip(ball, at) if id(s) in flipped), key=lambda m: m.tokens)
+    found = sorted((m for m, s in zip(ball, at) if id(s) in flipped), key=lambda m: m.tokens)
+    memo.balls.append((ops, radius, alphabet, tuple(found)))
+    return found

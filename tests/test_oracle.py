@@ -20,6 +20,7 @@ from delcert import (
     pairwise_bounds,
     tokenize,
 )
+from delcert import oracle
 from delcert.certify import radius_from_margin, vote_counts
 from delcert.errors import GuardError
 from delcert.mechanisms import MechanismKind, MechanismParams, pattern_probability
@@ -293,6 +294,20 @@ def test_constant_classifier_never_violates():
     assert verify_certificate(const, tokenize("a b"), 3, FULL_OPS, ["a", "b"], 0.8) == []
 
 
+@pytest.fixture
+def ball_calls(monkeypatch):
+    """The arguments of every ball the oracle enumerates, counted through
+    the module name that perfbench's tracer also rebinds."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_ball(*args)
+
+    monkeypatch.setattr(oracle, "enumerate_ball", counted)
+    return calls
+
+
 def _seven_ops_checks(model, x, p):
     """``(radius, ops)`` of every operation set: the certified radius, then
     that radius raised by two, each clipped as acceptance criterion 01
@@ -308,13 +323,19 @@ def _seven_ops_checks(model, x, p):
 
 @pytest.mark.parametrize("model", [KeywordClassifier("a"), TokenSumClassifier()],
                          ids=["keyword", "three-class"])
-def test_seven_ops_loop_matches_per_member_reference(model):
+def test_seven_ops_loop_matches_per_member_reference(model, ball_calls):
     x, p, alphabet = tokenize("a b c"), 0.5, ["a", "b", "c"]
     checks = _seven_ops_checks(model, x, p)
     counting = CountingClassifier(model)  # shared by every call: no text is classified twice
     found = [verify_certificate(counting, x, r, ops, alphabet, p) for r, ops in checks]
     assert found == [_per_member_reference(model, x, r, ops, alphabet, p) for r, ops in checks]
     assert any(found)  # the raised radii are overstated
+    # a check enumerates only when no earlier check's ball holds its own
+    fresh = [k for k, (r, ops) in enumerate(checks) if not any(
+        r <= r0 and set(ops.letters) <= set(ops0.letters) for r0, ops0 in checks[:k])]
+    assert [(r, ops) for _, r, ops, _ in ball_calls] == [checks[k] for k in fresh]
+    # some answers were read off a ball with violations
+    assert any(found[k] for k in range(len(checks)) if k not in fresh)
     # each distinct text of the union of the balls reached the model once
     union = {m for r, ops in checks for m in enumerate_ball(x, r, ops, alphabet)} | {x}
     texts = {" ".join(kept) for m in union for n in range(len(m) + 1)
@@ -411,6 +432,73 @@ def test_threads_switching_often_get_correct_results():
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
+
+
+def test_balls_inside_a_verified_ball_are_not_enumerated(ball_calls):
+    kw, x, alphabet, p = KeywordClassifier("a"), tokenize("b c"), ["a", "b", "c"], 0.5
+    found = [verify_certificate(kw, x, 2, ops, alphabet, p) for ops in ALL_OPS_SETS]
+    assert found == [_per_member_reference(kw, x, 2, ops, alphabet, p) for ops in ALL_OPS_SETS]
+    assert len(ball_calls) == 1  # the full set's ball holds the other six
+    assert found[0] and 0 < len(found[3]) < len(found[0])  # {s} keeps some of its violations
+
+
+def test_balls_outside_every_verified_ball_are_enumerated(ball_calls):
+    kw, x, y, alphabet = KeywordClassifier("a"), tokenize("b c"), tokenize("c b"), ["a", "b", "c"]
+    ds, s, i = (EditOpsSet.from_letters(o) for o in ("ds", "s", "i"))
+    steps = [  # (model, x, radius, ops, alphabet, p_del, enumerates)
+        (kw, x, 1, ds, alphabet, 0.5, True),
+        (kw, x, 1, s, alphabet, 0.5, False),
+        (kw, x, 2, s, alphabet, 0.5, True),  # a larger radius
+        (kw, x, 1, i, alphabet, 0.5, True),  # {i} is inside neither {d, s} nor {s}
+        (kw, x, 1, s, ["a", "b"], 0.5, True),  # another alphabet
+        (kw, x, 1, s, alphabet, 0.5, False),
+        (kw, y, 1, s, alphabet, 0.5, True),  # another input
+        (TokenSumClassifier(), y, 1, s, alphabet, 0.5, True),  # another model
+        (KeywordClassifier("a"), y, 1, s, alphabet, 0.5, True),  # an equal model, another object
+        (KeywordClassifier("a"), y, 1, s, alphabet, 0.8, True),  # another p_del
+    ]
+    for step, (model, z, radius, ops, a, p, enumerates) in enumerate(steps):
+        before = len(ball_calls)
+        assert verify_certificate(model, z, radius, ops, a, p) == (
+            _per_member_reference(model, z, radius, ops, a, p)), step
+        assert len(ball_calls) - before == enumerates, step
+
+
+def test_mutating_an_answer_leaves_later_answers():
+    kw, x, alphabet, p = KeywordClassifier("a"), tokenize("b c"), ["a", "b", "c"], 0.5
+    sub = EditOpsSet.from_letters("s")
+    expected = {ops: _per_member_reference(kw, x, 2, ops, alphabet, p) for ops in (FULL_OPS, sub)}
+    for ops in (FULL_OPS, sub, FULL_OPS, sub):  # enumerated, then read off the memo
+        found = verify_certificate(kw, x, 2, ops, alphabet, p)
+        assert found == expected[ops]
+        found.clear()
+
+
+def test_negative_radius_raises_after_a_containing_ball():
+    kw, x, alphabet = KeywordClassifier("a"), tokenize("b c"), ["a", "b", "c"]
+    verify_certificate(kw, x, 2, FULL_OPS, alphabet, 0.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_certificate(kw, x, -1, FULL_OPS, alphabet, 0.5)
+
+
+def test_alphabet_iterators_and_repeats_give_the_same_answers(ball_calls):
+    kw, x, p = KeywordClassifier("a"), tokenize("b c"), 0.5
+    expected = {r: _per_member_reference(kw, x, r, FULL_OPS, ["a", "b", "c"], p) for r in (1, 2)}
+    assert expected[2]
+    spellings = [lambda: iter(["a", "b", "c"]), lambda: ["a", "b", "a", "c", "b"], lambda: "abc"]
+    for spell in spellings:
+        for r in (2, 1):  # the first call's ball holds every later one
+            assert verify_certificate(kw, x, r, FULL_OPS, spell(), p) == expected[r]
+    assert len(ball_calls) == 1  # the three spellings are one alphabet
+
+
+def test_guards_still_raise_after_a_verified_ball():
+    kw, x = KeywordClassifier("a"), tokenize("a a a a a a")
+    assert verify_certificate(kw, x, 2, FULL_OPS, ["a"], 0.5) == []
+    with pytest.raises(GuardError):  # members of 9 tokens
+        verify_certificate(kw, x, 3, FULL_OPS, ["a"], 0.5)
+    with pytest.raises(GuardError):  # five tokens, at a radius the verified ball covers
+        verify_certificate(kw, x, 0, FULL_OPS, ["a", "b", "c", "d", "e"], 0.5)
 
 
 class SubstringClassifier:
