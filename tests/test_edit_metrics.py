@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delcert import (
+    ALL_OPS_SETS,
     FULL_OPS,
     EditOpsSet,
     Scheme,
@@ -226,8 +227,7 @@ def test_ball_members_per_alphabet_and_scheme():
             assert {m.scheme for m in got} == {scheme}
 
 
-_OPS_SETS = [EditOpsSet.from_letters(s) for s in ("dis", "ds", "is", "s", "di", "d", "i")]
-_SUBSET_PAIRS = [(o1, o2) for o1 in _OPS_SETS for o2 in _OPS_SETS
+_SUBSET_PAIRS = [(o1, o2) for o1 in ALL_OPS_SETS for o2 in ALL_OPS_SETS
                  if set(o2.letters) <= set(o1.letters)]
 
 
@@ -238,7 +238,7 @@ def test_ball_shrinks_with_fewer_ops_and_smaller_radius():
         for toks in itertools.product(alphabet, repeat=n):
             x = TokenSeq(toks, W)
             ball = {(ops, r): enumerate_ball(x, r, ops, alphabet)
-                    for ops in _OPS_SETS for r in range(3)}
+                    for ops in ALL_OPS_SETS for r in range(3)}
             for ops1, ops2 in _SUBSET_PAIRS:
                 for r1 in range(3):
                     for r2 in range(r1 + 1):
@@ -249,7 +249,7 @@ def test_distance_never_grows_with_more_ops():
     universe = [TokenSeq(t, W) for n in range(4) for t in itertools.product("ab", repeat=n)]
     for c in universe:
         for x in universe:
-            d = {ops: edit_distance(c, x, ops) for ops in _OPS_SETS}
+            d = {ops: edit_distance(c, x, ops) for ops in ALL_OPS_SETS}
             for ops1, ops2 in _SUBSET_PAIRS:
                 assert d[ops1] <= d[ops2], (c.tokens, x.tokens, ops1, ops2)
 
