@@ -8,9 +8,15 @@ bounds:
     {del} or {del, ins}:      1 / (1 - mu_y' + mu_y)
     {ins}:                    1 + mu_y' - mu_y
 
-Floors are never taken on raw logarithms alone: a final check in exact
-rational arithmetic rejects off-by-one radii at boundary margins, since
-an overstated radius would be a soundness bug.
+A float logarithm only seeds the search: an overstated radius would be a
+soundness bug, so ``r`` is accepted in exact integers, as ``m**r * den >
+num * e**r`` for ``p_del == m / e`` and the threshold ``num / den`` (from
+the scores' ``as_integer_ratio()``).  The seven operation sets share three
+thresholds and the search is memoized on ``(num, den, p_del)``, so a
+certificate runs at most three.  It, the Clopper-Pearson bounds and
+:func:`~delcert.edit_metrics.lev_ball_cardinality_lower_bound` are pure
+functions of values that recur between inputs, and each keeps its last
+4,096 results (``functools.lru_cache``), the very values a call computes.
 
 Draws come from the keep-matrix samplers of :mod:`~delcert.mechanisms`.
 :class:`SmoothedPredictor` is the smoothed classifier as a
@@ -23,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +69,9 @@ _MEMO_SIZE = 1024
 #: is built.  certify-external (two 10 s runs each, 2 vCPUs) gave 101 and
 #: 105 instances/s at 512, 95 and 94 at 256, 94 and 98 at 1,024.
 _SLICE_DRAWS = 512
+
+#: results kept by each memoized pure function of the certificate arithmetic
+_BOUND_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -193,6 +201,7 @@ def smoothed_predict(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=_BOUND_MEMO_SIZE)
 def clopper_pearson_lower(successes: int, n: int, level: float) -> float:
     """One-sided exact lower bound holding with confidence ``1 - level``."""
     if not 0 <= successes <= n:
@@ -207,6 +216,7 @@ def clopper_pearson_lower(successes: int, n: int, level: float) -> float:
     return float(betaincinv(successes, n - successes + 1, level))
 
 
+@functools.lru_cache(maxsize=_BOUND_MEMO_SIZE)
 def clopper_pearson_upper(successes: int, n: int, level: float) -> float:
     """One-sided exact upper bound holding with confidence ``1 - level``."""
     if not 0 <= successes <= n:
@@ -273,12 +283,21 @@ def pairwise_bounds(
     return lower, upper
 
 
-def _radius_threshold(mu_y: Fraction, mu_yprime: Fraction, ops: EditOpsSet) -> Fraction:
-    if ops.allow_sub:
-        return (2 + mu_yprime - mu_y) / 2
-    if ops.allow_del:
-        return 1 / (1 - mu_yprime + mu_y)
-    return 1 + mu_yprime - mu_y
+@functools.lru_cache(maxsize=_BOUND_MEMO_SIZE)
+def _radius_search(num: int, den: int, p_del: float) -> int:
+    """Largest ``r <= UNBOUNDED_RADIUS`` with ``p_del**r > num / den``, for
+    ``0 < num < den``, decided in integers: with ``p_del == m / e``, the
+    pair ``(m**r * den, num * e**r)`` is stepped by one factor at a time."""
+    m, e = p_del.as_integer_ratio()
+    log_t = math.log(num) - math.log(den)
+    r = min(UNBOUNDED_RADIUS, max(0, math.floor(log_t / (math.log(m) - math.log(e)))))
+    e_r = 1 << (e.bit_length() - 1) * r if e & (e - 1) == 0 else e**r  # a float's e is 2^k
+    lhs, rhs = m**r * den, num * e_r  # p_del**r > num / den  <=>  lhs > rhs
+    while r > 0 and lhs <= rhs:
+        r, lhs, rhs = r - 1, lhs // m, rhs // e
+    while r < UNBOUNDED_RADIUS and lhs * m > rhs * e:
+        r, lhs, rhs = r + 1, lhs * m, rhs * e
+    return r
 
 
 def radius_from_margin(
@@ -286,8 +305,8 @@ def radius_from_margin(
 ) -> int:
     """Largest radius ``r`` with ``p_del**r`` strictly above the ops threshold.
 
-    Returns 0 when the bounds cross.  The float logarithm only seeds the
-    search; acceptance of ``r`` is decided in exact rational arithmetic.
+    Returns 0 when the bounds cross.  The scores may be floats or
+    ``Fraction``s; ``r`` is decided in integers by :func:`_radius_search`.
     """
     _check_p_del(p_del)
     for v in (mu_y, mu_yprime):
@@ -295,20 +314,19 @@ def radius_from_margin(
             raise ValueError("score bounds must lie in [0, 1]")
     if mu_y < mu_yprime:
         return 0
-    t = _radius_threshold(Fraction(mu_y), Fraction(mu_yprime), ops)
-    if t <= 0:
+    (a, b), (c, d) = mu_y.as_integer_ratio(), mu_yprime.as_integer_ratio()
+    den, margin = b * d, a * d - c * b  # mu_y - mu_y' == margin / den
+    if ops.allow_sub:
+        num, den = 2 * den - margin, 2 * den
+    elif ops.allow_del:
+        num, den = den, den + margin
+    else:
+        num = den - margin
+    if num <= 0:
         return UNBOUNDED_RADIUS
-    if t >= 1:
+    if num >= den:
         return 0
-    p = Fraction(p_del)
-    log_t = math.log(t.numerator) - math.log(t.denominator)
-    log_p = math.log(p.numerator) - math.log(p.denominator)
-    r = max(0, math.floor(log_t / log_p))
-    while r > 0 and p**r <= t:
-        r -= 1
-    while r < UNBOUNDED_RADIUS and p ** (r + 1) > t:
-        r += 1
-    return r
+    return _radius_search(num, den, p_del)
 
 
 def certified_radius(bounds: ScoreBounds, p_del: float, ops: EditOpsSet = FULL_OPS) -> int:
@@ -336,6 +354,8 @@ def certify(
     if mech.kind is not MechanismKind.DELETION:
         raise ValueError("certificates are only defined for the deletion mechanism")
     _check_p_del(mech.rate)
+    if n_pred < 1 or n_cert < 1:
+        raise ValueError("n_pred and n_cert must be >= 1")
     if isinstance(stream, int):
         stream = RandomStream(stream)
     pred_label, pred_est = smoothed_predict(
@@ -395,6 +415,8 @@ class SmoothedPredictor:
         stream: RandomStream | int = 0,
         scheme: Scheme | None = None,
     ):
+        if n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         self.model = model
         self.mech = mech
         self.n_samples = n_samples

@@ -246,6 +246,7 @@ def supersequence_count(params: CardinalityParams) -> int:
     return sum(comb(n + r, i) * (v - 1) ** i for i in range(r + 1))
 
 
+@functools.lru_cache(maxsize=4096)  # pure, and certificates repeat (length, radius) pairs
 def lev_ball_cardinality_lower_bound(params: CardinalityParams) -> int:
     """Certified lower bound on the radius-``r`` edit-ball cardinality.
 

@@ -29,11 +29,16 @@ from delcert.attacks import AttackRecipe, Lexicon, run_attack
 from delcert.certify import (
     UNBOUNDED_RADIUS,
     SmoothedPredictor,
+    _radius_search,
     clopper_pearson_lower,
     clopper_pearson_upper,
     vote_counts,
 )
-from delcert.edit_metrics import EditDecomposition
+from delcert.edit_metrics import (
+    CardinalityParams,
+    EditDecomposition,
+    lev_ball_cardinality_lower_bound,
+)
 from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
 from delcert.rng import RandomStream
 from delcert.tokenization import TokenSeq, detokenize
@@ -215,31 +220,91 @@ def test_radius_monotone_in_margin_and_rate():
             assert radii == sorted(radii)
 
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+_SCORES = st.one_of(st.floats(0.0, 1.0), st.fractions(0, 1, max_denominator=10**12))
 
-@given(
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-    st.floats(0.01, 0.99),
-    st.sampled_from(ALL_OPS_SETS),
-)
+
+@given(_SCORES, _SCORES, st.floats(0.01, 0.999), st.sampled_from(ALL_OPS_SETS))
 @settings(max_examples=300)
 def test_radius_guard_property(mu, mup, p, ops):
+    t = _threshold(Fraction(mu), Fraction(mup), ops)
+    P = Fraction(p)
+    # a radius of r takes powers of r * 53 bits on both sides: keep r <= 5,000
+    # (at p 0.999 that still reaches insertion-only radii above 1,000)
+    assume(not 0 < t < 1 or math.log(t.numerator) - math.log(t.denominator) > 5000 * math.log(p))
     r = radius_from_margin(mu, mup, p, ops)
     if mu < mup:
         assert r == 0
         return
-    t = _threshold(Fraction(mu), Fraction(mup), ops)
-    P = Fraction(p)
     if t <= 0:
         assert r == UNBOUNDED_RADIUS
         return
+    power = P**r
     if r > 0:
-        assert P**r > t  # never overstated
+        assert power > t  # never overstated
     if r < UNBOUNDED_RADIUS:
-        assert not (P ** (r + 1) > t)  # never understated
+        assert not (power * P > t)  # never understated
+
+
+def _boundary_scores(t, ops):
+    """Scores ``(mu_y, 0)`` whose threshold under ``ops`` is exactly ``t``,
+    or None where that would need a margin above one."""
+    if ops.allow_sub:
+        margin = 2 - 2 * t
+    elif ops.allow_del:
+        margin = 1 / t - 1
+    else:
+        margin = 1 - t
+    return (margin, Fraction(0)) if margin <= 1 else None
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 0.9, 0.99, 0.999])
+def test_radius_exact_boundaries(p):
+    # a threshold equal to p**r is not strictly below it: the radius is r - 1,
+    # and the smallest step up in the margin gives r
+    P = Fraction(p)
+    checked = set()
+    for ops in (FULL_OPS, DELO, INSO):
+        for r in (1, 2, 3, 7, 20, 69, 300, 1100, 2000):
+            scores = _boundary_scores(P**r, ops)
+            if scores is None:
+                continue
+            mu, mup = scores
+            assert _threshold(mu, mup, ops) == P**r
+            assert radius_from_margin(mu, mup, p, ops) == r - 1
+            tiny = P**r * (1 - P) / 10**6  # moves the threshold by less than p**(r-1) - p**r
+            assert radius_from_margin(mu - tiny, mup, p, ops) == r - 1
+            if mu + tiny <= 1:
+                assert radius_from_margin(mu + tiny, mup, p, ops) == r
+            checked.add((ops, r))
+    assert {ops for ops, _ in checked} == {FULL_OPS, DELO, INSO}
+    assert p < 0.99 or any(r > 1000 for _, r in checked)
+
+
+def test_radius_exact_boundaries_in_floats():
+    # insertion-only at p 0.5: mu 1 and mu' 2**-r put the threshold at p**r
+    for r in (1, 2, 10, 52, 53, 54, 500, 1022, 1074):
+        assert radius_from_margin(1.0, 2.0**-r, 0.5, INSO) == r - 1
+    # any set with sub at p 15/16: the margin 2 - 2 p**r is a float for r <= 10
+    for r in range(1, 11):
+        mu = 2 - 2 * Fraction(15, 16) ** r
+        assert Fraction(float(mu)) == mu
+        for ops in (FULL_OPS, SUB):
+            assert radius_from_margin(float(mu), 0.0, 0.9375, ops) == r - 1
+    # del without sub at p 0.5: margin 1 puts the threshold at 1/2
+    for ops in (DELO, DI):
+        assert radius_from_margin(1.0, 0.0, 0.5, ops) == 0
+
+
+def test_radius_scores_in_any_exact_type():
+    for mu, mup in ((0.95, 0.05), (0.999, 0.0), (0.7, 0.3)):
+        for p in (0.8, 0.99):
+            for ops in ALL_OPS_SETS:
+                r = radius_from_margin(mu, mup, p, ops)
+                assert radius_from_margin(np.float64(mu), np.float64(mup), p, ops) == r
+                assert radius_from_margin(Fraction(mu), Fraction(mup), np.float64(p), ops) == r
 
 
 def test_certify_empty_input():
@@ -418,6 +483,56 @@ def test_certify_reproducible_and_seed_sensitive():
     assert c3.certification_estimate != c1.certification_estimate
 
 
+def test_certify_rejects_empty_sample_counts():
+    for n_pred, n_cert in ((0, 10), (10, 0), (10, -1)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            certify(ConstantClassifier(0), tokenize("a b"), DEL50, n_pred, n_cert, 0.05, 0)
+
+
+def _clear_certificate_caches():
+    for memoized in (clopper_pearson_lower, clopper_pearson_upper, _radius_search,
+                     lev_ball_cardinality_lower_bound):
+        assert memoized.cache_info().maxsize is not None  # bounded
+        memoized.cache_clear()
+
+
+def test_certificates_equal_with_cold_and_warm_caches():
+    data = marker_presence_dataset(80, seed=17)
+    model = train_builtin(data, DEL90, stream=RandomStream(4))
+    texts = [text for text, _ in data.items[:6]] + ["good", "", "film1 film2"]
+    runs = []
+    for clear in (True, False, True):
+        if clear:
+            _clear_certificate_caches()
+        runs.append([certify(model, tokenize(t), DEL90, 200, 800, 0.05, RandomStream(9))
+                     for t in texts])
+        if not clear:  # the warm run was answered from the caches
+            assert _radius_search.cache_info().hits >= 6 * len(texts)
+    assert runs[0] == runs[1] == runs[2]
+    assert any(not c.abstained and c.radius(FULL_OPS) > 0 for c in runs[0])
+
+
+def test_memoized_bounds_equal_uncached_values():
+    _clear_certificate_caches()
+    for _ in range(2):  # cold, then warm
+        for n in (1, 2, 7, 40):
+            for k in range(n + 1):
+                for level in (0.005, 0.025, 0.05):
+                    for memoized in (clopper_pearson_lower, clopper_pearson_upper):
+                        assert memoized(k, n, level) == memoized.__wrapped__(k, n, level)
+        for n in range(8):
+            for r in range(6):
+                for v in (1, 2, 3, 50265):
+                    params = CardinalityParams(n, r, v)
+                    assert lev_ball_cardinality_lower_bound(params) == (
+                        lev_ball_cardinality_lower_bound.__wrapped__(params))
+        for num, den in ((1, 2), (3, 4), (999, 1000), (1, 10**6), (2**52, 2**53 + 1)):
+            for p in (0.5, 0.9, 0.99, 0.999):
+                assert _radius_search(num, den, p) == _radius_search.__wrapped__(num, den, p)
+    assert clopper_pearson_lower.cache_info().hits > 0
+    assert lev_ball_cardinality_lower_bound.cache_info().hits > 0
+
+
 def test_certified_radius_wrapper():
     b = score_bounds(ScoreEstimate((4000, 0), 4000), 0.05)
     assert certified_radius(b, 0.9, FULL_OPS) == 6
@@ -450,6 +565,12 @@ def test_vote_counts_samples_through_module_attribute(monkeypatch):
     vote_counts(KeywordClassifier(), x, DEL50, 30, rng)
     certify(KeywordClassifier(), x, DEL50, 20, 40, 0.05, RandomStream(2))
     assert calls == [(30, 3, 0.5), (20, 3, 0.5), (40, 3, 0.5)]
+
+
+def test_smoothed_predictor_rejects_empty_sample_count():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            SmoothedPredictor(KeywordClassifier(), DEL50, n_samples=n)
 
 
 def _keyword_predictor():

@@ -343,6 +343,39 @@ def test_seven_ops_loop_matches_per_member_reference(model, ball_calls):
     assert sorted(counting.order) == sorted(texts)
 
 
+def test_exact_scores_and_seven_checks_classify_each_text_once():
+    model, x, p, alphabet = KeywordClassifier("a"), tokenize("a b c"), 0.5, ["a", "b", "c"]
+    checks = _seven_ops_checks(model, x, p)[::2]  # each ops set at its certified radius
+    counting = CountingClassifier(model)  # fails the call if any text reaches the model twice
+    s = exact_smoothed_scores(counting, x, p)
+    found = [verify_certificate(counting, x, r, ops, alphabet, p) for r, ops in checks]
+    counting_order = list(counting.order)
+    assert exact_smoothed_scores(counting, x, p) is s  # read back from the verified memo
+    assert counting.order == counting_order
+    assert s == exact_smoothed_scores(model, x, p)
+    assert found == [_per_member_reference(model, x, r, ops, alphabet, p) for r, ops in checks]
+    union = {m for r, ops in checks for m in enumerate_ball(x, r, ops, alphabet)} | {x}
+    texts = {" ".join(kept) for m in union for n in range(len(m) + 1)
+             for kept in itertools.combinations(m.tokens, n)}
+    assert sorted(counting_order) == sorted(texts)
+
+
+def test_fraction_scores_leave_the_memo_untouched():
+    counting, x, alphabet = CountingClassifier(KeywordClassifier("a")), tokenize("a b"), ["a", "b"]
+    exact = exact_smoothed_scores(counting, x, 0.5, "fraction")
+    counting.reset()
+    verify_certificate(counting, x, 1, FULL_OPS, alphabet, 0.5)
+    assert "a b" in counting.order  # nothing of the fraction call was kept
+    # scoring other inputs alone keeps the verified input's memo
+    for y, method in ((tokenize("b"), "float"), (tokenize("a a"), "fraction")):
+        counting.reset()
+        exact_smoothed_scores(counting, y, 0.5, method)
+    counting.reset()
+    assert exact_smoothed_scores(counting, x, 0.5).probs == tuple(map(float, exact.probs))
+    verify_certificate(counting, x, 1, EditOpsSet(False, True, True), alphabet, 0.5)
+    assert counting.order == []
+
+
 def test_scores_are_not_reused_for_another_model():
     x, alphabet = tokenize("b b"), ["a", "b"]
     keyword, const = KeywordClassifier("a"), ConstantClassifier(0)
