@@ -327,7 +327,9 @@ def test_seven_ops_loop_matches_per_member_reference(model, ball_calls):
     x, p, alphabet = tokenize("a b c"), 0.5, ["a", "b", "c"]
     checks = _seven_ops_checks(model, x, p)
     counting = CountingClassifier(model)  # shared by every call: no text is classified twice
+    s = exact_smoothed_scores(counting, x, p)  # verifying x next reads its memo
     found = [verify_certificate(counting, x, r, ops, alphabet, p) for r, ops in checks]
+    assert exact_smoothed_scores(counting, x, p) is s
     assert found == [_per_member_reference(model, x, r, ops, alphabet, p) for r, ops in checks]
     assert any(found)  # the raised radii are overstated
     # a check enumerates only when no earlier check's ball holds its own
@@ -341,23 +343,6 @@ def test_seven_ops_loop_matches_per_member_reference(model, ball_calls):
     texts = {" ".join(kept) for m in union for n in range(len(m) + 1)
              for kept in itertools.combinations(m.tokens, n)}
     assert sorted(counting.order) == sorted(texts)
-
-
-def test_exact_scores_and_seven_checks_classify_each_text_once():
-    model, x, p, alphabet = KeywordClassifier("a"), tokenize("a b c"), 0.5, ["a", "b", "c"]
-    checks = _seven_ops_checks(model, x, p)[::2]  # each ops set at its certified radius
-    counting = CountingClassifier(model)  # fails the call if any text reaches the model twice
-    s = exact_smoothed_scores(counting, x, p)
-    found = [verify_certificate(counting, x, r, ops, alphabet, p) for r, ops in checks]
-    counting_order = list(counting.order)
-    assert exact_smoothed_scores(counting, x, p) is s  # read back from the verified memo
-    assert counting.order == counting_order
-    assert s == exact_smoothed_scores(model, x, p)
-    assert found == [_per_member_reference(model, x, r, ops, alphabet, p) for r, ops in checks]
-    union = {m for r, ops in checks for m in enumerate_ball(x, r, ops, alphabet)} | {x}
-    texts = {" ".join(kept) for m in union for n in range(len(m) + 1)
-             for kept in itertools.combinations(m.tokens, n)}
-    assert sorted(counting_order) == sorted(texts)
 
 
 def test_fraction_scores_leave_the_memo_untouched():
