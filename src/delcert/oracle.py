@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +27,8 @@ _ENUM_MAX_TOKENS = 18
 _BLOCK_ROWS = 1 << 14
 #: largest subsequence key space whose labels are kept in a dense table
 _DENSE_MAX_KEYS = 1 << 20
-#: per thread, the memos of the inputs last verified and last scored (see verify_certificate)
-_memos = threading.local()
+#: per thread, the scores, labels and verified balls of the last input (see verify_certificate)
+_last_verified = threading.local()
 
 
 @dataclass(frozen=True)
@@ -202,36 +201,14 @@ def exact_smoothed_scores(
     """Exact smoothed scores by summing the full Bernoulli pattern mass.
 
     ``method="fraction"`` returns the exact rationals; ``method="float"``
-    rounds each of them to the nearest double, through the per-thread memo
-    of :func:`verify_certificate`, so verifying ``x`` next classifies none
-    of these texts again.
+    rounds each of them to the nearest double.
     """
     n = len(x)
     if n > _ENUM_MAX_TOKENS:
         raise GuardError(f"{n} tokens exceeds the 2^n enumeration guard ({_ENUM_MAX_TOKENS})")
     if method not in ("fraction", "float"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "fraction":
-        return _smoothed_scores(model, [x], p_del, exact=True)[0]
-    memo = _memo_for(model, x, p_del, verifying=False)
-    if x.tokens not in memo.scores:
-        memo.scores[x.tokens] = _smoothed_scores(model, [x], p_del, False, memo.labels)[0]
-    return memo.scores[x.tokens]
-
-
-def _memo_for(model: BaseClassifier, x: TokenSeq, p_del: float, verifying: bool):
-    """This thread's memo of ``model``, ``x`` and ``p_del``, kept as the verified
-    one, or else (never dropping the verified one) as the scored one."""
-    for memo in (getattr(_memos, "verified", None), getattr(_memos, "scored", None)):
-        if memo is not None and memo.model is model and memo.x == x and memo.p_del == p_del:
-            break
-    else:
-        memo = SimpleNamespace(model=model, x=x, p_del=p_del, scores={}, labels={}, balls=[])
-    if verifying:
-        _memos.verified = memo
-    elif memo is not getattr(_memos, "verified", None):
-        _memos.scored = memo
-    return memo
+    return _smoothed_scores(model, [x], p_del, exact=method == "fraction")[0]
 
 
 def alignment_witness(a: TokenSeq, b: TokenSeq) -> AlignmentWitness:
@@ -293,10 +270,7 @@ def verify_certificate(
     and one ``p_del``: the scores and text labels it has computed, and
     the operation set, radius, alphabet and violations of each ball it
     has enumerated.  Any other model, input or ``p_del`` starts afresh,
-    and nothing is shared between inputs.  :func:`exact_smoothed_scores`
-    (``method="float"``) reads and fills the memo of its own input: the
-    verified one, or a second memo per thread, which the next call that
-    verifies that input takes over instead of starting afresh.
+    and nothing is shared between inputs.
 
     Allowing more operations or a larger radius can only grow a ball:
     with ``ops`` inside ``wider`` (every operation ``ops`` allows,
@@ -318,7 +292,10 @@ def verify_certificate(
     brute force.
     """
     alphabet = tuple(dict.fromkeys(alphabet))  # read a one-shot iterator once
-    memo = _memo_for(model, x, p_del, verifying=True)
+    memo = _last_verified
+    if getattr(memo, "model", None) is not model or memo.x != x or memo.p_del != p_del:
+        memo.model, memo.x, memo.p_del, memo.scores, memo.labels = model, x, p_del, {}, {}
+        memo.balls = []
     for wider, r, a, violations in memo.balls:
         # a negative radius is left to enumerate_ball to reject; the guards
         # cannot trip here, as no member is longer than the wider ball's

@@ -327,9 +327,7 @@ def test_seven_ops_loop_matches_per_member_reference(model, ball_calls):
     x, p, alphabet = tokenize("a b c"), 0.5, ["a", "b", "c"]
     checks = _seven_ops_checks(model, x, p)
     counting = CountingClassifier(model)  # shared by every call: no text is classified twice
-    s = exact_smoothed_scores(counting, x, p)  # verifying x next reads its memo
     found = [verify_certificate(counting, x, r, ops, alphabet, p) for r, ops in checks]
-    assert exact_smoothed_scores(counting, x, p) is s
     assert found == [_per_member_reference(model, x, r, ops, alphabet, p) for r, ops in checks]
     assert any(found)  # the raised radii are overstated
     # a check enumerates only when no earlier check's ball holds its own
@@ -343,22 +341,6 @@ def test_seven_ops_loop_matches_per_member_reference(model, ball_calls):
     texts = {" ".join(kept) for m in union for n in range(len(m) + 1)
              for kept in itertools.combinations(m.tokens, n)}
     assert sorted(counting.order) == sorted(texts)
-
-
-def test_fraction_scores_leave_the_memo_untouched():
-    counting, x, alphabet = CountingClassifier(KeywordClassifier("a")), tokenize("a b"), ["a", "b"]
-    exact = exact_smoothed_scores(counting, x, 0.5, "fraction")
-    counting.reset()
-    verify_certificate(counting, x, 1, FULL_OPS, alphabet, 0.5)
-    assert "a b" in counting.order  # nothing of the fraction call was kept
-    # scoring other inputs alone keeps the verified input's memo
-    for y, method in ((tokenize("b"), "float"), (tokenize("a a"), "fraction")):
-        counting.reset()
-        exact_smoothed_scores(counting, y, 0.5, method)
-    counting.reset()
-    assert exact_smoothed_scores(counting, x, 0.5).probs == tuple(map(float, exact.probs))
-    verify_certificate(counting, x, 1, EditOpsSet(False, True, True), alphabet, 0.5)
-    assert counting.order == []
 
 
 def test_scores_are_not_reused_for_another_model():
