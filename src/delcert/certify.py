@@ -16,7 +16,8 @@ thresholds and the search is memoized on ``(num, den, p_del)``, so a
 certificate runs at most three.  It, the Clopper-Pearson bounds and
 :func:`~delcert.edit_metrics.lev_ball_cardinality_lower_bound` are pure
 functions of values that recur between inputs, and each keeps its last
-4,096 results (``functools.lru_cache``), the very values a call computes.
+``BOUND_MEMO_SIZE`` (4,096) results (``functools.lru_cache``), the very
+values a call computes.
 
 Draws come from the keep-matrix samplers of :mod:`~delcert.mechanisms`.
 :class:`SmoothedPredictor` is the smoothed classifier as a
@@ -36,6 +37,7 @@ import numpy as np
 from .classifier import BaseClassifier, BuiltinModel, classify_texts
 from .edit_metrics import (
     ALL_OPS_SETS,
+    BOUND_MEMO_SIZE,
     FULL_OPS,
     CardinalityParams,
     EditDecomposition,
@@ -69,9 +71,6 @@ _MEMO_SIZE = 1024
 #: is built.  certify-external (two 10 s runs each, 2 vCPUs) gave 101 and
 #: 105 instances/s at 512, 95 and 94 at 256, 94 and 98 at 1,024.
 _SLICE_DRAWS = 512
-
-#: results kept by each memoized pure function of the certificate arithmetic
-_BOUND_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def smoothed_predict(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=_BOUND_MEMO_SIZE)
+@functools.lru_cache(maxsize=BOUND_MEMO_SIZE)
 def clopper_pearson_lower(successes: int, n: int, level: float) -> float:
     """One-sided exact lower bound holding with confidence ``1 - level``."""
     if not 0 <= successes <= n:
@@ -216,7 +215,7 @@ def clopper_pearson_lower(successes: int, n: int, level: float) -> float:
     return float(betaincinv(successes, n - successes + 1, level))
 
 
-@functools.lru_cache(maxsize=_BOUND_MEMO_SIZE)
+@functools.lru_cache(maxsize=BOUND_MEMO_SIZE)
 def clopper_pearson_upper(successes: int, n: int, level: float) -> float:
     """One-sided exact upper bound holding with confidence ``1 - level``."""
     if not 0 <= successes <= n:
@@ -283,7 +282,7 @@ def pairwise_bounds(
     return lower, upper
 
 
-@functools.lru_cache(maxsize=_BOUND_MEMO_SIZE)
+@functools.lru_cache(maxsize=BOUND_MEMO_SIZE)
 def _radius_search(num: int, den: int, p_del: float) -> int:
     """Largest ``r <= UNBOUNDED_RADIUS`` with ``p_del**r > num / den``, for
     ``0 < num < den``, decided in integers: with ``p_del == m / e``, the
@@ -291,8 +290,7 @@ def _radius_search(num: int, den: int, p_del: float) -> int:
     m, e = p_del.as_integer_ratio()
     log_t = math.log(num) - math.log(den)
     r = min(UNBOUNDED_RADIUS, max(0, math.floor(log_t / (math.log(m) - math.log(e)))))
-    e_r = 1 << (e.bit_length() - 1) * r if e & (e - 1) == 0 else e**r  # a float's e is 2^k
-    lhs, rhs = m**r * den, num * e_r  # p_del**r > num / den  <=>  lhs > rhs
+    lhs, rhs = m**r * den, num * e**r  # p_del**r > num / den  <=>  lhs > rhs
     while r > 0 and lhs <= rhs:
         r, lhs, rhs = r - 1, lhs // m, rhs // e
     while r < UNBOUNDED_RADIUS and lhs * m > rhs * e:

@@ -234,9 +234,12 @@ def test_radius_guard_property(mu, mup, p, ops):
         return
     t = _threshold(Fraction(mu), Fraction(mup), ops)
     P = Fraction(p)
-    # a radius of r takes powers of r * 53 bits on both sides: keep r <= 5,000
-    # (at p 0.999 that still reaches insertion-only radii above 1,000)
-    assume(not 0 < t < 1 or math.log(t.numerator) - math.log(t.denominator) > 5000 * math.log(p))
+    # a radius of r takes powers of r * 53 bits on both sides, so the draws
+    # beyond float scores and p <= 0.99 keep r <= 5,000 (at p 0.999 that
+    # still reaches insertion-only radii above 1,000)
+    widened = p > 0.99 or isinstance(mu, Fraction) or isinstance(mup, Fraction)
+    assume(not widened or not 0 < t < 1
+           or math.log(t.numerator) - math.log(t.denominator) > 5000 * math.log(p))
     r = radius_from_margin(mu, mup, p, ops)
     if t <= 0:
         assert r == UNBOUNDED_RADIUS
