@@ -46,7 +46,7 @@ from .edit_metrics import (
 )
 from .mechanisms import MechanismKind, MechanismParams
 from .mechanisms import deletion_keep_matrix, masking_keep_matrix
-from .rng import RandomStream, text_fingerprint
+from .rng import RandomStream, as_stream, text_fingerprint
 from .tokenization import Scheme, TokenSeq, tokenize
 
 #: sentinel for a radius with no finite constraint (margin exactly one under
@@ -174,7 +174,7 @@ def vote_counts(
     keep = sampler(n_samples, len(x), mech.rate, rng)
     if deletion and isinstance(model, BuiltinModel) and model.scheme == x.scheme:
         contrib = model.log_likelihood[model.token_rows(x.tokens)]  # (n, C)
-        labels = np.argmax(keep.astype(np.float64) @ contrib + model.log_prior, axis=1)
+        labels = (keep.astype(np.float64) @ contrib + model.log_prior).argmax(axis=1)
     else:
         labels = _keep_labels(model, x, keep, None if deletion else x.scheme.mask_token)
     return np.bincount(labels, minlength=model.num_classes)
@@ -191,8 +191,8 @@ def smoothed_predict(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     counts = vote_counts(model, x, mech, n_samples, rng)
-    est = ScoreEstimate(tuple(int(c) for c in counts), n_samples)
-    return int(np.argmax(counts)), est
+    est = ScoreEstimate(tuple(counts.tolist()), n_samples)
+    return int(counts.argmax()), est
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +354,12 @@ def certify(
     _check_p_del(mech.rate)
     if n_pred < 1 or n_cert < 1:
         raise ValueError("n_pred and n_cert must be >= 1")
-    if isinstance(stream, int):
-        stream = RandomStream(stream)
+    stream = as_stream(stream)
     pred_label, pred_est = smoothed_predict(
         model, x, mech, n_pred, stream.child(_PRED_STREAM).generator()
     )
     cert_counts = vote_counts(model, x, mech, n_cert, stream.child(_CERT_STREAM).generator())
-    cert_est = ScoreEstimate(tuple(int(c) for c in cert_counts), n_cert)
+    cert_est = ScoreEstimate(tuple(cert_counts.tolist()), n_cert)
     bounds = score_bounds(cert_est, alpha, bound_mode)
     abstained = bounds.top_class != pred_label or bounds.mu_y < bounds.mu_yprime
     if abstained:
@@ -418,7 +417,7 @@ class SmoothedPredictor:
         self.model = model
         self.mech = mech
         self.n_samples = n_samples
-        self.stream = RandomStream(stream) if isinstance(stream, int) else stream
+        self.stream = as_stream(stream)
         self.scheme = scheme or getattr(model, "scheme", Scheme.WHITESPACE)
         self.num_classes = model.num_classes
         self._memo = functools.lru_cache(maxsize=_MEMO_SIZE)(self._smoothed_label)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DataFormatError
 from .mechanisms import MechanismKind, MechanismParams
 from .mechanisms import deletion_keep_matrix, masking_keep_matrix
-from .rng import RandomStream
+from .rng import RandomStream, as_stream
 from .tokenization import Scheme, tokenize
 
 MODEL_FORMAT_VERSION = 1
@@ -249,8 +249,7 @@ def train_builtin(
     labels = {label for _, label in data.items}
     if len(labels) < 2:
         raise DataFormatError("training dataset must contain at least two classes")
-    if isinstance(stream, int):
-        stream = RandomStream(stream)
+    stream = as_stream(stream)
 
     counts = [Counter() for _ in range(data.num_classes)]  # token counts per class
     class_doc_counts = np.zeros(data.num_classes, dtype=np.int64)

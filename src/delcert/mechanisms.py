@@ -22,6 +22,8 @@ _TWO_53 = 1 << 53
 #: bits of a 53-bit deletion uniform below its top byte
 _LO_BITS = 45
 _LO_MASK = (1 << _LO_BITS) - 1
+#: ``random_raw`` words as little-endian, so byte ``b`` is the same on any host
+_RAW_WORD = np.dtype("<u8")
 
 
 class MechanismKind(str, Enum):
@@ -69,7 +71,7 @@ def deletion_keep_matrix(
     t_hi = t >> _LO_BITS
     cells = n_samples * n
     bits = rng.bit_generator
-    words = bits.random_raw(-(-cells // 8)).astype("<u8", copy=False)
+    words = bits.random_raw(-(-cells // 8)).astype(_RAW_WORD, copy=False)
     hi = words.view(np.uint8)[:cells]
     keep = hi > t_hi
     ties = (hi == t_hi).nonzero()[0]

@@ -486,6 +486,20 @@ def test_certify_reproducible_and_seed_sensitive():
     assert c3.certification_estimate != c1.certification_estimate
 
 
+def test_numpy_integer_seeds_equal_int_seeds():
+    data = marker_presence_dataset(30, seed=17)
+    model = train_builtin(data, DEL90, stream=np.int64(4))
+    assert model.to_json() == train_builtin(data, DEL90, stream=4).to_json()
+    x = tokenize("a b c d")
+    assert certify(model, x, DEL50, 50, 100, 0.05, np.int64(3)) == certify(
+        model, x, DEL50, 50, 100, 0.05, 3
+    )
+    texts = ["a b c d", "b c", "c a b"]
+    by_numpy = SmoothedPredictor(model, DEL50, n_samples=25, stream=np.uint8(3))
+    by_int = SmoothedPredictor(model, DEL50, n_samples=25, stream=3)
+    assert by_numpy.classify_batch(texts) == by_int.classify_batch(texts)
+
+
 def test_certify_rejects_empty_sample_counts():
     for n_pred, n_cert in ((0, 10), (10, 0), (10, -1)):
         with pytest.raises(ValueError, match="must be >= 1"):

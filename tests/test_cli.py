@@ -885,6 +885,19 @@ def test_certify_records_pinned(tmp_path, capsys):
     assert hashlib.sha256(records.read_bytes()).hexdigest() == _CERTIFY_SHA256
 
 
+#: sha256 of the report of a `greedy_edit` attack on the smoothed target
+_ATTACK_SHA256 = "e902bf9d9b0ad273b6637b55c1a00b766b50e8bbc4c24a61025cd9312b4f3534"
+
+
+def test_attack_report_pinned(tmp_path, capsys):
+    model, test_path = _pinned_model(tmp_path)
+    report = tmp_path / "attack.json"
+    assert main(["attack", "--model", str(model), "--data", str(test_path),
+                 "--recipe", "greedy_edit", "--seed", "4", "--prediction-samples", "50",
+                 "--max-queries", "200", "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == _ATTACK_SHA256
+
+
 def _fresh_python(*args):
     """Run ``args`` in a new interpreter that imports delcert from these sources."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
