@@ -19,7 +19,6 @@ from .certify import (
     Certificate,
     ScoreBounds,
     ScoreEstimate,
-    certified_radius,
     certify,
     pairwise_bounds,
     radius_from_margin,
@@ -68,7 +67,6 @@ __all__ = [
     "ScoreBounds",
     "ScoreEstimate",
     "TokenSeq",
-    "certified_radius",
     "certify",
     "deletion_keep_matrix",
     "detokenize",

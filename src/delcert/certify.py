@@ -327,10 +327,6 @@ def radius_from_margin(
     return _radius_search(num, den, p_del)
 
 
-def certified_radius(bounds: ScoreBounds, p_del: float, ops: EditOpsSet = FULL_OPS) -> int:
-    return radius_from_margin(bounds.mu_y, bounds.mu_yprime, p_del, ops)
-
-
 def certify(
     model: BaseClassifier,
     x: TokenSeq,

@@ -32,7 +32,6 @@ from .classifier import BuiltinModel, LabeledDataset, train_builtin
 from .edit_metrics import (
     ALL_OPS_SETS,
     CardinalityParams,
-    EditOpsSet,
     hamming_ball_cardinality,
     lev_ball_cardinality_exact,
     lev_ball_cardinality_lower_bound,
@@ -173,6 +172,13 @@ def _write_text(path: str | None, content: str) -> None:
             fh.write(content)
 
 
+def _write_csv(path: str | None, rows) -> None:
+    """Write ``rows``, the header first, as CSV to ``path`` (``-``: stdout)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write_text(path, buf.getvalue())
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -196,9 +202,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     data = load_dataset(args.data)
     mech = _mechanism(args)
     stream = RandomStream(args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["instance", "true_label", "predicted"])
+    rows: list[list] = [["instance", "true_label", "predicted"]]
     correct = 0
     with _classifier(args) as model:
         scheme = _input_scheme(model, args)
@@ -207,8 +211,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
             rng = stream.child(idx, _PRED_STREAM).generator()  # the stream certify predicts on
             pred, _ = smoothed_predict(model, x, mech, args.n_pred, rng)
             correct += int(pred == label)
-            writer.writerow([idx, label, pred])
-    _write_text(args.out, buf.getvalue())
+            rows.append([idx, label, pred])
+    _write_csv(args.out, rows)
     print(f"accuracy={correct / len(data)!r}")
     return 0
 
@@ -218,7 +222,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise UsageError(f"certify needs a rate strictly between 0 and 1, got {args.rate!r}")
     mech = MechanismParams(MechanismKind.DELETION, args.rate)
     stream = RandomStream(args.seed)
-    ops_sel = EditOpsSet.from_letters(args.ops)
     data = load_dataset(args.data)
 
     with _classifier(args) as model:
@@ -238,34 +241,30 @@ def cmd_certify(args: argparse.Namespace) -> int:
         else:
             certs = [one(w) for w in work]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["instance", "true_label", "predicted", "abstained"]
-        + [col for _, col in _OPS_COLUMNS]
-        + ["log10_cc_lb", "mu_y", "mu_yprime", "n_pred", "n_cert"]
-    )
-    for idx, ((_, label), cert) in enumerate(zip(data.items, certs)):
-        writer.writerow(
-            [idx, label, cert.predicted, int(cert.abstained)]
-            + [cert.radius_by_ops[ops] for ops, _ in _OPS_COLUMNS]
-            + [repr(cert.log10_cardinality_lb), repr(cert.bounds.mu_y)]
-            + [repr(cert.bounds.mu_yprime), args.n_pred, args.n_cert]
-        )
-    _write_text(args.out, buf.getvalue())
+    header = (["instance", "true_label", "predicted", "abstained"]
+              + [col for _, col in _OPS_COLUMNS]
+              + ["log10_cc_lb", "mu_y", "mu_yprime", "n_pred", "n_cert"])
+    _write_csv(args.out, [header] + [
+        [idx, label, cert.predicted, int(cert.abstained)]
+        + [cert.radius_by_ops[ops] for ops, _ in _OPS_COLUMNS]
+        + [repr(cert.log10_cardinality_lb), repr(cert.bounds.mu_y)]
+        + [repr(cert.bounds.mu_yprime), args.n_pred, args.n_cert]
+        for idx, ((_, label), cert) in enumerate(zip(data.items, certs))
+    ])
 
-    sel_col = f"radius_{ops_sel.letters}"
-    radii = [cert.radius_by_ops[ops_sel] for cert in certs]
     correct = [int(cert.predicted == label) for (_, label), cert in zip(data.items, certs)]
     print(f"instances={len(certs)}")
     print(f"clean_accuracy={sum(correct) / len(certs)!r}")
-    print(f"median_radius[{sel_col}]={statistics.median(radii)!r}")
+    for ops, col in _OPS_COLUMNS:
+        print(f"median_radius[{col}]={statistics.median(c.radius_by_ops[ops] for c in certs)!r}")
     print(f"median_log10_cc={statistics.median(c.log10_cardinality_lb for c in certs)!r}")
     print(f"abstained={sum(c.abstained for c in certs)}")
     return 0
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    if args.thresholds is not None and args.grid is not None:
+        raise UsageError("--thresholds and --grid exclude each other")
     with open(args.records, encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -283,40 +282,34 @@ def cmd_curve(args: argparse.Namespace) -> int:
         thresholds = args.thresholds
     else:
         top = max(log_cc)
-        count = args.grid
+        count = args.grid or 21
         thresholds = [top * i / (count - 1) for i in range(count)] if count > 1 else [0.0]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["threshold_log10_cc", "certified_accuracy"])
-    for c in thresholds:
-        frac = sum(1 for ok, cc in zip(correct, log_cc) if ok and cc >= c) / len(rows)
-        writer.writerow([repr(c), repr(frac)])
-    _write_text(args.out, buf.getvalue())
+    _write_csv(args.out, [["threshold_log10_cc", "certified_accuracy"]] + [
+        [repr(c), repr(sum(1 for ok, cc in zip(correct, log_cc) if ok and cc >= c) / len(rows))]
+        for c in thresholds
+    ])
     return 0
 
 
 def cmd_cardinality(args: argparse.Namespace) -> int:
+    """The Hamming ball's size when it exists (radius <= length), the
+    Levenshtein lower bound, and with ``--exact`` the exact Levenshtein
+    count of the ``--tokens`` ball and its ratio to the bound."""
     n = args.length
     v = args.vocab_size
     r = args.radius
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["measure", "length", "vocab_size", "radius", "count", "log10"])
+    if args.tokens is not None and not args.exact:
+        raise UsageError("--tokens applies only with --exact")
+    rows: list[list] = [["measure", "length", "vocab_size", "radius", "count", "log10"]]
 
     def emit(measure: str, count: int) -> None:
-        writer.writerow([measure, n, v, r, count, repr(math.log10(count)) if count else ""])
+        rows.append([measure, n, v, r, count, repr(math.log10(count)) if count else ""])
 
-    which = args.which
-    lower = None
-    exact = None
-    if which == "hamming" and r > n:
-        raise UsageError(f"--which hamming needs --radius <= --length, got {r} > {n}")
-    if which == "hamming" or (which == "all" and r <= n):
+    if r <= n:
         emit("hamming_exact", hamming_ball_cardinality(CardinalityParams(n, r, v)))
-    if which in ("lower", "all"):
-        lower = lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v))
-        emit("levenshtein_lower_bound", lower)
-    if which == "exact" or (which == "all" and args.exact):
+    lower = lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v))
+    emit("levenshtein_lower_bound", lower)
+    if args.exact:
         tokens = args.tokens.split() if args.tokens else [f"t{i}" for i in range(n)]
         if len(tokens) != n:
             raise DataFormatError(f"--tokens has {len(tokens)} tokens but --length is {n}")
@@ -325,10 +318,9 @@ def cmd_cardinality(args: argparse.Namespace) -> int:
         x = TokenSeq(tuple(tokens), Scheme.WHITESPACE)
         exact = lev_ball_cardinality_exact(x, v, r)
         emit("levenshtein_exact", exact)
-    if lower is not None and exact is not None:
         ratio = math.exp(math.log(exact) - math.log(lower))  # safe for huge counts
-        writer.writerow(["exact_to_lower_ratio", n, v, r, "", repr(ratio)])
-    _write_text(args.out, buf.getvalue())
+        rows.append(["exact_to_lower_ratio", n, v, r, "", repr(ratio)])
+    _write_csv(args.out, rows)
     return 0
 
 
@@ -336,31 +328,25 @@ def cmd_textcrs(args: argparse.Namespace) -> int:
     n = args.length
     if n < 1:
         raise UsageError(f"textcrs needs --length >= 1, got {n}")
-    kind = args.kind
     r_R_cap = args.r_r_cap if args.r_r_cap is not None else float(n)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["kind", "length", "r_R_cap", "r_I_cap", "d_star", "max_edit_radius", "r_R_min_at_max"]
-    )
-    kinds = ["deletion", "insertion"] if kind == "both" else [kind]
-    for k in kinds:
-        if k == "insertion":
-            r_star = max_certified_edit_radius(n, k, r_R_cap, args.r_i_cap, args.d_star)
-            req = insertion_cover_radii(n, r_star, args.d_star) if r_star else None
-            writer.writerow(
-                [k, n, r_R_cap, args.r_i_cap, args.d_star, r_star, str(req.r_R_min) if req else "0"]
-            )
-        else:
-            r_star = max_certified_edit_radius(n, k, r_R_cap)
-            req = deletion_cover_radii(n, r_star)
-            writer.writerow([k, n, r_R_cap, "", "", r_star, str(req.r_R_min)])
-    _write_text(args.out, buf.getvalue())
+    r_del = max_certified_edit_radius(n, "deletion", r_R_cap)
+    r_ins = max_certified_edit_radius(n, "insertion", r_R_cap, args.r_i_cap, args.d_star)
+    ins_min = str(insertion_cover_radii(n, r_ins, args.d_star).r_R_min) if r_ins else "0"
+    _write_csv(args.out, [
+        ["kind", "length", "r_R_cap", "r_I_cap", "d_star", "max_edit_radius", "r_R_min_at_max"],
+        ["deletion", n, r_R_cap, "", "", r_del, str(deletion_cover_radii(n, r_del).r_R_min)],
+        ["insertion", n, r_R_cap, args.r_i_cap, args.d_star, r_ins, ins_min],
+    ])
     return 0
 
 
-def _report_to_json(report: atk.AttackReport, meta: dict) -> str:
-    payload = dict(meta)
+def _write_report(args: argparse.Namespace, report: atk.AttackReport, **meta) -> None:
+    """Write ``report`` as JSON to ``--out`` with ``meta``, the seed and the
+    target, and for a smoothed target the smoothing it was built with."""
+    payload = {**meta, "seed": args.seed, "target": args.target}
+    if args.target == "smoothed":
+        payload.update(mechanism=args.mechanism, rate=args.rate,
+                       prediction_samples=args.prediction_samples)
     payload.update(
         {
             "clean_accuracy": report.clean_accuracy,
@@ -371,7 +357,7 @@ def _report_to_json(report: atk.AttackReport, meta: dict) -> str:
             "harness_errors": [list(e) for e in report.harness_errors],
         }
     )
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
@@ -392,16 +378,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         else:
             lexicon = atk.lexicon_from_dataset(data, scheme=scheme)
         report = atk.run_attack(target, data, recipe, lexicon, scheme=scheme, jobs=args.jobs)
-    meta = {
-        "mode": "direct",
-        "recipe": asdict(recipe),
-        "seed": args.seed,
-        "target": args.target,
-        "mechanism": args.mechanism,
-        "rate": args.rate,
-        "prediction_samples": args.prediction_samples,
-    }
-    _write_text(args.out, _report_to_json(report, meta))
+    _write_report(args, report, mode="direct", recipe=asdict(recipe))
     print(f"clean_accuracy={report.clean_accuracy!r}")
     print(f"robust_accuracy={report.robust_accuracy!r}")
     print(f"mean_queries={report.mean_queries!r}")
@@ -427,13 +404,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     source = _report_from_json(args.source_report)
     with _classifier(args) as model:
         report = atk.transfer_attack(source, _make_target(args, model, _input_scheme(model, args)))
-    meta = {
-        "mode": "transfer",
-        "source_report": args.source_report,
-        "seed": args.seed,
-        "target": args.target,
-    }
-    _write_text(args.out, _report_to_json(report, meta))
+    _write_report(args, report, mode="transfer", source_report=args.source_report)
     print(f"transferred={len(report.outcomes)}")
     print(f"clean_accuracy={report.clean_accuracy!r}")
     print(f"robust_accuracy={report.robust_accuracy!r}")
@@ -486,7 +457,6 @@ _FLAGS: dict[str, dict] = {
     "--n-pred": dict(type=_COUNT, default=1000),
     "--n-cert": dict(type=_COUNT, default=4000),
     "--alpha": dict(type=_option(float, lambda v: 0 < v < 1, "a number in (0, 1)"), default=0.05),
-    "--ops": dict(choices=["dis", "d", "i", "s", "di", "ds", "is"], default="dis"),
     "--vocab-size": dict(type=_COUNT, default=50265),
     "--bound-mode": dict(choices=["bonferroni-cp", "complement"], default="bonferroni-cp"),
     "--records": dict(help="CSV written by `certify`"),
@@ -495,13 +465,11 @@ _FLAGS: dict[str, dict] = {
                      lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers"),
         help="comma-separated log10 thresholds",
     ),
-    "--grid": dict(type=_COUNT, default=21, help="number of evenly spaced thresholds"),
+    "--grid": dict(type=_COUNT, help="number of evenly spaced thresholds (default 21)"),
     "--length": dict(type=_NATURAL),
     "--radius": dict(type=_NATURAL),
-    "--which": dict(choices=["hamming", "lower", "exact", "all"], default="all"),
     "--exact": dict(action="store_true", help="include the exact ball count"),
     "--tokens": dict(help="whitespace-separated pattern for the exact count"),
-    "--kind": dict(choices=["deletion", "insertion", "both"], default="deletion"),
     "--r-r-cap": dict(type=_FINITE_NONNEG),
     "--r-i-cap": dict(type=_FINITE_NONNEG, default=0.99),
     "--d-star": dict(type=_option(float, lambda v: 0 < v < math.inf, "a finite number > 0"),
@@ -533,7 +501,7 @@ _COMMANDS = {
     ),
     "certify": (
         cmd_certify, "certified radii and cardinalities per instance",
-        f"--data! --out --config {_CLASSIFIER} --rate --n-pred --n-cert --alpha --ops"
+        f"--data! --out --config {_CLASSIFIER} --rate --n-pred --n-cert --alpha"
         " --vocab-size --bound-mode --seed --jobs",
     ),
     "curve": (
@@ -542,11 +510,11 @@ _COMMANDS = {
     ),
     "cardinality": (
         cmd_cardinality, "edit/substitution ball cardinalities",
-        "--length! --radius! --which --exact --tokens --out --config --vocab-size",
+        "--length! --radius! --exact --tokens --out --config --vocab-size",
     ),
     "textcrs": (
         cmd_textcrs, "edit-radius coverage of reordering-style certificates",
-        "--length! --kind --r-r-cap --r-i-cap --d-star --out",
+        "--length! --r-r-cap --r-i-cap --d-star --out",
     ),
     "attack": (
         cmd_attack, "greedy black-box attack under the outcome protocol",
@@ -592,15 +560,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (DelcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, UsageError) else 4 if isinstance(exc, GuardError) else 3
 
 
 if __name__ == "__main__":

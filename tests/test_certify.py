@@ -16,7 +16,6 @@ from delcert import (
     EditOpsSet,
     LabeledDataset,
     ScoreEstimate,
-    certified_radius,
     certify,
     pairwise_bounds,
     radius_from_margin,
@@ -552,11 +551,6 @@ def test_memoized_bounds_equal_uncached_values():
                 assert _radius_search(num, den, p) == _radius_search.__wrapped__(num, den, p)
     assert clopper_pearson_lower.cache_info().hits > 0
     assert lev_ball_cardinality_lower_bound.cache_info().hits > 0
-
-
-def test_certified_radius_wrapper():
-    b = score_bounds(ScoreEstimate((4000, 0), 4000), 0.05)
-    assert certified_radius(b, 0.9, FULL_OPS) == 6
 
 
 # -- the smoothed classifier as a target ----------------------------------------

@@ -2,9 +2,11 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,10 +283,15 @@ def test_malformed_jsonl_reports_line(trained, tmp_path, capsys):
     assert "bad.jsonl:2" in capsys.readouterr().err
 
 
+def _measures(csv_text):
+    return [row.split(",")[0] for row in csv_text.splitlines()[1:]]
+
+
 def test_cardinality_command(tmp_path, capsys):
-    rc = main(["cardinality", "--length", "3", "--radius", "1", "--vocab-size", "2", "--which", "hamming"])
+    rc = main(["cardinality", "--length", "3", "--radius", "1", "--vocab-size", "2"])
     assert rc == 0
     out = capsys.readouterr().out
+    assert _measures(out) == ["hamming_exact", "levenshtein_lower_bound"]
     assert "hamming_exact,3,2,1,4," in out
 
     rc = main(
@@ -293,15 +300,20 @@ def test_cardinality_command(tmp_path, capsys):
             "--length", "2",
             "--radius", "1",
             "--vocab-size", "2",
-            "--which", "all",
             "--exact",
             "--tokens", "a b",
         ]
     )
     assert rc == 0
     out = capsys.readouterr().out
+    assert _measures(out) == [
+        "hamming_exact", "levenshtein_lower_bound", "levenshtein_exact", "exact_to_lower_ratio",
+    ]
     assert "levenshtein_exact,2,2,1,9," in out
     assert "levenshtein_lower_bound,2,2,1,8," in out
+    ratio = out.splitlines()[-1].split(",")
+    assert ratio[:5] == ["exact_to_lower_ratio", "2", "2", "1", ""]
+    assert float(ratio[5]) == pytest.approx(9 / 8)
 
     # --length is shared with textcrs, which needs >= 1; the empty sequence stays valid here
     rc = main(["cardinality", "--length", "0", "--radius", "0", "--vocab-size", "2"])
@@ -311,17 +323,18 @@ def test_cardinality_command(tmp_path, capsys):
 
 
 def test_cardinality_radius_beyond_length(capsys):
-    # the Hamming ball needs radius <= length: "all" skips its row ...
+    # the Hamming ball needs radius <= length, so its row is left out ...
     rc = main(["cardinality", "--length", "2", "--radius", "3", "--vocab-size", "2"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "hamming_exact" not in out and "levenshtein_lower_bound,2,2,3," in out
-    # ... and asking for it alone is a usage error
-    argv = ["cardinality", "--length", "2", "--radius", "3", "--which", "hamming"]
-    assert _exit_code(argv) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert _measures(out) == ["levenshtein_lower_bound"]
+    assert "levenshtein_lower_bound,2,2,3,56," in out
+    # ... and the Levenshtein rows follow as usual
+    argv = ["cardinality", "--length", "2", "--radius", "3", "--vocab-size", "2", "--exact"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert _measures(out) == ["levenshtein_lower_bound", "levenshtein_exact", "exact_to_lower_ratio"]
+    assert "levenshtein_exact,2,2,3,57," in out
 
 
 def test_curve_default_grid(tmp_path):
@@ -330,11 +343,15 @@ def test_curve_default_grid(tmp_path):
     curve = tmp_path / "curve.csv"
     assert main(["curve", "--records", str(records), "--out", str(curve)]) == 0
     assert len(curve.read_text().splitlines()) == 1 + 21
+    assert main(["curve", "--records", str(records), "--grid", "5", "--out", str(curve)]) == 0
+    assert curve.read_text().splitlines()[1:] == [f"{t!r},1.0" for t in (0.0, 0.5, 1.0, 1.5, 2.0)]
 
 
 def test_cardinality_guard_exit_4(capsys):
-    rc = main(["cardinality", "--length", "4", "--radius", "20", "--which", "exact"])
+    rc = main(["cardinality", "--length", "4", "--radius", "20", "--exact"])
     assert rc == 4
+    # nothing is written before the guard trips
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("flag", [["--external-cmd", "python3 worker.py"], ["--jobs", "2"]])
@@ -355,16 +372,27 @@ def test_cardinality_rejects_classifier_flags(flag):
 
 
 def test_textcrs_command(capsys):
+    # the deletion row, then the insertion row
     rc = main(["textcrs", "--length", "3"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "deletion,3,3.0,,,0," in out  # vacuous at n=3 under the cap n
+    assert out.splitlines()[1:] == [
+        "deletion,3,3.0,,,0,0",  # vacuous at n=3 under the cap n
+        "insertion,3,3.0,0.99,1.0,0,0",
+    ]
 
-    rc = main(["textcrs", "--length", "2", "--kind", "both"])
+    rc = main(["textcrs", "--length", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "deletion,2,2.0,,,2," in out
     assert "insertion,2,2.0,0.99,1.0,0," in out
+    # --r-i-cap and --d-star set the insertion row
+    rc = main(["textcrs", "--length", "2", "--r-i-cap", "3", "--d-star", "1.5"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "deletion,2,2.0,,,2,2",
+        "insertion,2,2.0,3.0,1.5,2,2",
+    ]
 
 
 def test_attack_and_transfer_roundtrip(trained, capsys):
@@ -403,6 +431,32 @@ def test_attack_and_transfer_roundtrip(trained, capsys):
     tr = json.loads(transfer_path.read_text())
     assert tr["robust_accuracy"] == 0.0
     assert len(tr["outcomes"]) == counts["success"]
+
+
+_SMOOTHING = {"mechanism", "rate", "prediction_samples"}
+
+
+def test_report_records_the_smoothing_of_a_smoothed_target_only(trained, capsys):
+    # a base target records no smoothing values, a smoothed one records them
+    # whether it is attacked or transferred to
+    model_path, test_path, tmp_path = trained
+    base, smoothed = tmp_path / "base.json", tmp_path / "smoothed.json"
+    assert main(["attack", "--model", str(model_path), "--data", str(test_path),
+                 "--target", "base", "--recipe", "greedy_edit", "--max-queries", "200",
+                 "--seed", "3", "--rate", "0.3", "--mechanism", "masking",
+                 "--out", str(base)]) == 0
+    payload = json.loads(base.read_text())
+    assert (payload["mode"], payload["seed"], payload["target"]) == ("direct", 3, "base")
+    assert not _SMOOTHING & set(payload)
+    assert main(["transfer", "--source-report", str(base), "--model", str(model_path),
+                 "--rate", "0.5", "--prediction-samples", "20", "--seed", "8",
+                 "--out", str(smoothed)]) == 0
+    payload = json.loads(smoothed.read_text())
+    assert payload["source_report"] == str(base)
+    assert {k: payload[k] for k in ("mode", "seed", "target", *sorted(_SMOOTHING))} == {
+        "mode": "transfer", "seed": 8, "target": "smoothed", "mechanism": "deletion",
+        "rate": 0.5, "prediction_samples": 20,
+    }
 
 
 def test_attack_external_echo(trained, tmp_path, capsys):
@@ -499,10 +553,13 @@ def test_config_file_precedence(trained, capsys):
 def test_cardinality_reads_config(tmp_path, capsys):
     # every option the command takes is read from the config file
     out, config = tmp_path / "card.csv", tmp_path / "c.cfg"
-    config.write_text(f"which = hamming\nout = {out}\n", encoding="utf-8")
+    config.write_text(f"vocab-size = 2\nexact = true\ntokens = a b a\nout = {out}\n",
+                      encoding="utf-8")
     assert main(["cardinality", "--length", "3", "--radius", "1", "--config", str(config)]) == 0
     assert capsys.readouterr().out == ""
-    assert [row.split(",")[0] for row in out.read_text().splitlines()] == ["measure", "hamming_exact"]
+    text = out.read_text()
+    assert "hamming_exact,3,2,1,4," in text
+    assert _measures(text)[2:] == ["levenshtein_exact", "exact_to_lower_ratio"]
     # a switch set to false in the config stays off
     config.write_text("exact = false\n", encoding="utf-8")
     assert main(["cardinality", "--length", "2", "--radius", "1", "--config", str(config)]) == 0
@@ -511,13 +568,15 @@ def test_cardinality_reads_config(tmp_path, capsys):
 
 
 def test_config_skips_other_keys_and_rejects_malformed_lines(tmp_path, capsys):
-    # one file serves several commands: cardinality takes no alpha and no n_pred
+    # one file serves several commands: cardinality takes no alpha and no
+    # n_pred, and no command takes ops, which or kind any longer
     config = tmp_path / "c.cfg"
-    config.write_text("# shared\nalpha=2\nn-pred = 0\nvocab-size = 2\n", encoding="utf-8")
-    argv = ["cardinality", "--length", "3", "--radius", "1", "--which", "hamming", "--config"]
+    config.write_text("# shared\nalpha=2\nn-pred = 0\nvocab-size = 2\nops = di\nwhich = lower\n"
+                      "kind = both\n", encoding="utf-8")
+    argv = ["cardinality", "--length", "3", "--radius", "1", "--config"]
     assert main([*argv, str(config)]) == 0
     assert "hamming_exact,3,2,1,4," in capsys.readouterr().out
-    config.write_text("vocab-size = 2\nwhich\n", encoding="utf-8")
+    config.write_text("vocab-size = 2\nexact\n", encoding="utf-8")
     assert main([*argv, str(config)]) == 3
     assert "c.cfg:2: expected key=value" in capsys.readouterr().err
     assert main([*argv, str(tmp_path / "missing.cfg")]) == 3
@@ -539,10 +598,8 @@ _CONFIG_VALUES = {
     "--n-pred": ("11", "12"),
     "--n-cert": ("13", "14"),
     "--alpha": ("0.1", "0.2"),
-    "--ops": ("di", "s"),
     "--vocab-size": ("9", "10"),
     "--bound-mode": ("complement", "bonferroni-cp"),
-    "--which": ("exact", "lower"),
     "--exact": ("true", "false"),
     "--tokens": ("a b c", "c b a"),
     "--target": ("base", "smoothed"),
@@ -621,7 +678,11 @@ def test_certify_constant_model_median_radius_six(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert "median_radius[radius_dis]=6" in capsys.readouterr().out
+    summary = capsys.readouterr().out
+    assert "median_radius[radius_dis]=6" in summary
+    # one median for each operation set, in the records' column order
+    medians = [line.split("=")[0] for line in summary.splitlines() if line.startswith("median_radius")]
+    assert medians == [f"median_radius[{col}]" for _, col in cli._OPS_COLUMNS]
 
 
 def test_curve_threshold_beyond_max_is_zero(trained, tmp_path):
@@ -696,8 +757,9 @@ def _exit_code(argv) -> int:
         ["certify", "--config", "model=other.json", "--external-cmd", "never-started"],
         ["predict", "--config", "num_classes=3"],
         # the default tokens t0 t1 t2 are more than the vocabulary of 2
-        ["cardinality", "--radius", "2", "--which", "exact", "--vocab-size", "2"],
-        ["cardinality", "--radius", "2", "--which", "all", "--exact", "--vocab-size", "2"],
+        ["cardinality", "--radius", "2", "--exact", "--vocab-size", "2"],
+        # a pattern only the exact count would read
+        ["cardinality", "--tokens", "a b c"],
     ],
 )
 def test_invalid_option_value_exit_2(trained, argv, capsys, monkeypatch):
@@ -734,13 +796,14 @@ def test_invalid_option_value_exit_2(trained, argv, capsys, monkeypatch):
         ["textcrs", "--length", "3", "--r-r-cap", "-1"],
         ["textcrs", "--length", "3", "--r-r-cap", "inf"],
         ["textcrs", "--length", "3", "--r-i-cap", "-1"],
-        ["textcrs", "--length", "3", "--kind", "both", "--r-i-cap", "nan"],
-        ["textcrs", "--length", "3", "--kind", "insertion", "--d-star", "-1"],
-        ["textcrs", "--length", "3", "--kind", "insertion", "--d-star", "0"],
+        ["textcrs", "--length", "3", "--r-i-cap", "nan"],
+        ["textcrs", "--length", "3", "--d-star", "-1"],
+        ["textcrs", "--length", "3", "--d-star", "0"],
         ["curve", "--thresholds", "abc"],
         ["curve", "--thresholds", "0,inf"],
         ["curve", "--grid", "0"],
         ["curve", "--grid", "-1"],
+        ["curve", "--thresholds", "0,1", "--grid", "5"],
     ],
 )
 def test_textcrs_and_curve_invalid_values_exit_2(tmp_path, argv, capsys):
@@ -771,6 +834,10 @@ def test_textcrs_and_curve_invalid_values_exit_2(tmp_path, argv, capsys):
         ["certify", "--data", "d.jsonl", "--mechanism", "deletion"],
         ["certify", "--data", "d.jsonl", "--timeout-seconds", "5"],
         ["transfer", "--source-report", "r.json", "--max-queries", "5"],
+        # options that only picked the rows of an output, which now has them all
+        ["certify", "--data", "d.jsonl", "--ops", "dis"],
+        ["cardinality", "--length", "3", "--radius", "1", "--which", "all"],
+        ["textcrs", "--length", "3", "--kind", "both"],
     ],
 )
 def test_dropped_flags_exit_2(argv, capsys):
@@ -778,6 +845,27 @@ def test_dropped_flags_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_option_is_taken_by_a_command():
+    taken = {f.rstrip("!") for _, _, flags in cli._COMMANDS.values() for f in flags.split()}
+    assert taken == set(cli._FLAGS)
+
+
+def test_readme_lists_each_command_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Each subcommand takes only the flags it reads", 1)[1].split("\n\n")[1]
+    entries = re.split(r"^- `(\w+)`: ", section, flags=re.M)[1:]
+    listed = {}
+    for name, text in zip(entries[::2], entries[1::2]):
+        flags = set(re.findall(r"`(--[a-z-]+)", text))
+        if "a classifier" in text:
+            flags |= set(cli._CLASSIFIER.split())
+        listed[name] = flags
+    assert listed == {
+        name: {f.rstrip("!") for f in flags.split()}
+        for name, (_, _, flags) in cli._COMMANDS.items()
+    }
 
 
 def _char_model(tmp_path):
