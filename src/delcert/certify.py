@@ -136,16 +136,17 @@ def _keep_labels(
     its token, or shows ``fill`` if one is given.  The texts are built in
     slices of ``_SLICE_DRAWS`` draws for :func:`classify_texts`, the one
     dedup on this path, which can send a slice while the next is built."""
-    cells = np.broadcast_to(np.array(x.tokens, dtype=object), keep.shape)
-    if fill is not None:  # masking shows every cell
-        cells, keep = np.where(keep, cells, fill), np.ones_like(keep)
+    tokens = np.array(x.tokens, dtype=object)
     sep = x.scheme.separator
 
     def slices():
         for lo in range(0, len(keep), _SLICE_DRAWS):
             rows = keep[lo : lo + _SLICE_DRAWS]
+            if fill is not None:  # masking shows every cell; an object fill: no str per cell
+                yield list(map(sep.join, np.where(rows, tokens, np.full(len(x), fill, object))))
+                continue
             # the slice's shown tokens in one flat list, row after row
-            shown = cells[lo : lo + _SLICE_DRAWS][rows].tolist()
+            shown = np.broadcast_to(tokens, rows.shape)[rows].tolist()
             ends = np.cumsum(rows.sum(axis=1)).tolist()
             yield [sep.join(shown[a:b]) for a, b in zip([0] + ends, ends)]
 
@@ -162,11 +163,13 @@ def vote_counts(
     """Class histogram of the base classifier over ``n_samples`` draws.
 
     For the built-in model under deletion noise the votes are computed
-    through one keep-matrix product instead of materializing texts; the
-    draws consumed from ``rng`` are identical either way.  Any other
-    case builds one text per draw, slice by slice;
-    :func:`~delcert.classifier.classify_texts`, the one dedup on that path,
-    classifies each distinct text once.
+    through keep-matrix products instead of materializing texts, one per
+    ``_SLICE_DRAWS`` (512) rows; the draws consumed from ``rng`` are
+    identical either way.  Any other case builds one text per draw, slice
+    by slice; :func:`~delcert.classifier.classify_texts`, the one dedup on
+    that path, classifies each distinct text once.  A call holds the keep
+    matrix (one byte per draw and token), one sampling block or slice, and
+    on the text path the distinct texts.
     """
     deletion = mech.kind is MechanismKind.DELETION
     # looked up at each call, so a rebound certify.deletion_keep_matrix is used
@@ -174,7 +177,13 @@ def vote_counts(
     keep = sampler(n_samples, len(x), mech.rate, rng)
     if deletion and isinstance(model, BuiltinModel) and model.scheme == x.scheme:
         contrib = model.log_likelihood[model.token_rows(x.tokens)]  # (n, C)
-        labels = (keep.astype(np.float64) @ contrib + model.log_prior).argmax(axis=1)
+        if len(keep) <= _SLICE_DRAWS:
+            labels = (keep.astype(np.float64) @ contrib + model.log_prior).argmax(axis=1)
+        else:  # a float slice stays in cache; its row sums may round unlike the whole's
+            labels = np.concatenate([
+                (rows.astype(np.float64) @ contrib + model.log_prior).argmax(axis=1)
+                for rows in np.split(keep, range(_SLICE_DRAWS, len(keep), _SLICE_DRAWS))
+            ])
     else:
         labels = _keep_labels(model, x, keep, None if deletion else x.scheme.mask_token)
     return np.bincount(labels, minlength=model.num_classes)

@@ -151,14 +151,28 @@ def _input_scheme(model, args: argparse.Namespace) -> Scheme:
     return model.scheme
 
 
+#: a smoothed target's smoothing where a flag (None by default) is not given
+_SMOOTHING = {"mechanism": "deletion", "rate": 0.9, "prediction_samples": 100}
+
+
+def _smoothing(args: argparse.Namespace) -> dict:
+    """The smoothing of a smoothed target, each flag given or by default;
+    none for a base target, with which giving any of them is a usage error."""
+    given = {key: value for key in _SMOOTHING if (value := getattr(args, key)) is not None}
+    if args.target == "base" and given:
+        raise UsageError(f"--{next(iter(given)).replace('_', '-')} applies only to --target smoothed")
+    return {} if args.target == "base" else {**_SMOOTHING, **given}
+
+
 def _make_target(args: argparse.Namespace, model, scheme: Scheme):
     """The attacked classifier: ``model`` itself, or smoothed around it."""
-    if args.target == "base":
+    smoothing = _smoothing(args)
+    if not smoothing:
         return model
     return SmoothedPredictor(
         model,
-        _mechanism(args),
-        n_samples=args.prediction_samples,
+        MechanismParams(MechanismKind(smoothing["mechanism"]), smoothing["rate"]),
+        n_samples=smoothing["prediction_samples"],
         stream=RandomStream(args.seed),
         scheme=scheme,
     )
@@ -310,7 +324,7 @@ def cmd_cardinality(args: argparse.Namespace) -> int:
     lower = lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v))
     emit("levenshtein_lower_bound", lower)
     if args.exact:
-        tokens = args.tokens.split() if args.tokens else [f"t{i}" for i in range(n)]
+        tokens = args.tokens.split() if args.tokens is not None else [f"t{i}" for i in range(n)]
         if len(tokens) != n:
             raise DataFormatError(f"--tokens has {len(tokens)} tokens but --length is {n}")
         if len(set(tokens)) > v:
@@ -343,10 +357,7 @@ def cmd_textcrs(args: argparse.Namespace) -> int:
 def _write_report(args: argparse.Namespace, report: atk.AttackReport, **meta) -> None:
     """Write ``report`` as JSON to ``--out`` with ``meta``, the seed and the
     target, and for a smoothed target the smoothing it was built with."""
-    payload = {**meta, "seed": args.seed, "target": args.target}
-    if args.target == "smoothed":
-        payload.update(mechanism=args.mechanism, rate=args.rate,
-                       prediction_samples=args.prediction_samples)
+    payload = {**meta, "seed": args.seed, "target": args.target, **_smoothing(args)}
     payload.update(
         {
             "clean_accuracy": report.clean_accuracy,
@@ -478,7 +489,7 @@ _FLAGS: dict[str, dict] = {
     "--recipe": dict(choices=["greedy_substitute", "greedy_edit", "char_perturb"],
                      default="greedy_substitute"),
     "--candidates-per-position": dict(type=_NATURAL, default=8),
-    "--prediction-samples": dict(type=_COUNT, default=100),
+    "--prediction-samples": dict(type=_COUNT),
     "--max-queries": dict(type=_COUNT, default=10000),
     "--timeout-seconds": dict(type=_option(float, lambda v: v > 0, "a number > 0"), default=600.0),
     "--lexicon": {},
@@ -541,6 +552,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         for flag in flags.split():
             option = flag.rstrip("!")
             p.add_argument(option, required=flag.endswith("!"), **_FLAGS[option])
+        if "--target" in flags:
+            p.set_defaults(**dict.fromkeys(_SMOOTHING))
         p.set_defaults(func=func)
     return parser, commands
 

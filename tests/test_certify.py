@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,7 @@ from delcert.edit_metrics import (
 )
 from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
 from delcert.rng import RandomStream
-from delcert.tokenization import TokenSeq, detokenize
+from delcert.tokenization import Scheme, TokenSeq, detokenize
 
 from conftest import (
     ConstantClassifier,
@@ -425,6 +426,44 @@ def test_fast_path_matches_text_path():
         assert counting.order == list(dict.fromkeys(ref_texts)), case
         if name == "repeated":  # distinct patterns that give equal texts
             assert len({row.tobytes() for row in keep}) > len(set(ref_texts)), case
+
+
+def _peak_bytes(call):
+    """Peak traced bytes during ``call()``; numpy reports its buffers to
+    tracemalloc, so this counts every array a vote allocates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fast_path_vote_holds_keep_matrix_and_one_slice():
+    # beyond the keep matrix (a byte per draw and token) a fast-path vote
+    # holds one sampling block and one 512-row float slice, not a float
+    # copy of the whole matrix
+    data = marker_presence_dataset(120, seed=13)
+    model = train_builtin(data, DEL90, stream=RandomStream(4))
+    x = tokenize(" ".join(f"film{j % 10} good" for j in range(100)))
+    mech = MechanismParams(MechanismKind.DELETION, 0.99)
+    rng = RandomStream(5).child(0).generator()
+    vote_counts(model, x, mech, 10, rng)  # the model's cached arrays
+    keep_bytes = 4000 * len(x)
+    assert _peak_bytes(lambda: vote_counts(model, x, mech, 4000, rng)) < 3 * keep_bytes
+
+
+def test_masking_text_path_vote_holds_keep_matrix_and_one_slice():
+    # the cells of one 512-row slice are filled at a time, from an object
+    # array rather than a new str per masked cell; every cell is masked, so
+    # all draws give one text and the texts themselves take no room
+    x = tokenize("ab" * 100, Scheme.CHARACTER)
+    mech = MechanismParams(MechanismKind.MASKING, 1.0)
+    rng = RandomStream(5).child(0).generator()
+    counts = []
+    peak = _peak_bytes(lambda: counts.append(vote_counts(ConstantClassifier(1), x, mech, 4000, rng)))
+    assert counts[0].tolist() == [0, 4000]
+    assert peak < 3 * 4000 * len(x)
 
 
 # -- full certification ------------------------------------------------------

@@ -347,6 +347,15 @@ def test_curve_default_grid(tmp_path):
     assert curve.read_text().splitlines()[1:] == [f"{t!r},1.0" for t in (0.0, 0.5, 1.0, 1.5, 2.0)]
 
 
+def test_cardinality_empty_tokens_exit_3(capsys):
+    # an empty pattern has the wrong length, like any other; it is not
+    # replaced by the default t0 t1 t2
+    argv = ["cardinality", "--length", "3", "--radius", "1", "--vocab-size", "5", "--exact"]
+    assert main([*argv, "--tokens", ""]) == 3
+    assert "--tokens has 0 tokens but --length is 3" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
 def test_cardinality_guard_exit_4(capsys):
     rc = main(["cardinality", "--length", "4", "--radius", "20", "--exact"])
     assert rc == 4
@@ -443,8 +452,7 @@ def test_report_records_the_smoothing_of_a_smoothed_target_only(trained, capsys)
     base, smoothed = tmp_path / "base.json", tmp_path / "smoothed.json"
     assert main(["attack", "--model", str(model_path), "--data", str(test_path),
                  "--target", "base", "--recipe", "greedy_edit", "--max-queries", "200",
-                 "--seed", "3", "--rate", "0.3", "--mechanism", "masking",
-                 "--out", str(base)]) == 0
+                 "--seed", "3", "--out", str(base)]) == 0
     payload = json.loads(base.read_text())
     assert (payload["mode"], payload["seed"], payload["target"]) == ("direct", 3, "base")
     assert not _SMOOTHING & set(payload)
@@ -457,6 +465,30 @@ def test_report_records_the_smoothing_of_a_smoothed_target_only(trained, capsys)
         "mode": "transfer", "seed": 8, "target": "smoothed", "mechanism": "deletion",
         "rate": 0.5, "prediction_samples": 20,
     }
+
+
+@pytest.mark.parametrize("command", ["attack", "transfer"])
+@pytest.mark.parametrize("flag,value", [
+    ("--mechanism", "masking"), ("--rate", "0.3"), ("--prediction-samples", "20"),
+])
+def test_base_target_rejects_smoothing_flags(trained, command, flag, value, capsys):
+    # a base target is not smoothed, so a smoothing value given for it, by a
+    # flag or the config, exits 2 before anything is written
+    model_path, test_path, tmp_path = trained
+    report, config, out = tmp_path / "r.json", tmp_path / "run.cfg", tmp_path / "o.json"
+    assert main(["attack", "--model", str(model_path), "--data", str(test_path),
+                 "--target", "base", "--max-queries", "20", "--out", str(report)]) == 0
+    first = {"attack": ["--data", str(test_path), "--max-queries", "20"],
+             "transfer": ["--source-report", str(report)]}[command]
+    argv = [command, *first, "--model", str(model_path), "--out", str(out)]
+    assert main([*argv, "--target", "base", flag, value]) == 2
+    config.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+    assert main([*argv, "--target", "base", "--config", str(config)]) == 2
+    assert f"{flag} applies only to --target smoothed" in capsys.readouterr().err
+    assert not out.exists()
+    # a smoothed target takes and records the same config value
+    assert main([*argv, "--target", "smoothed", "--config", str(config)]) == 0
+    assert str(json.loads(out.read_text())[flag[2:].replace("-", "_")]) == value
 
 
 def test_attack_external_echo(trained, tmp_path, capsys):
@@ -884,9 +916,10 @@ def test_attack_uses_model_scheme(tmp_path, target):
     # each success reports its character edit distance
     model_path, data_path = _char_model(tmp_path)
     report_path = tmp_path / "attack.json"
+    smoothing = ["--prediction-samples", "20", "--rate", "0.3"] if target == "smoothed" else []
     rc = main(["attack", "--model", str(model_path), "--data", str(data_path), "--out",
                str(report_path), "--recipe", "greedy_edit", "--target", target,
-               "--prediction-samples", "20", "--rate", "0.3", "--max-queries", "300"])
+               *smoothing, "--max-queries", "300"])
     assert rc == 0
     outcomes = json.loads(report_path.read_text())["outcomes"]
     successes = [o for o in outcomes if o["status"] == "success"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from delcert import masking_keep_matrix, pattern_probability, tokenize
+from delcert import masking_keep_matrix, mechanisms, pattern_probability, tokenize
 from delcert.certify import vote_counts
 from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
 from delcert.rng import RandomStream
@@ -100,18 +100,30 @@ def _reference_keep(n_samples, n, p_del, bits):
     return np.array(keep, dtype=bool).reshape(n_samples, n)
 
 
-def test_batch_matches_sequential_draws():
+def test_batch_matches_sequential_draws(monkeypatch):
     # the batch equals the reference decoding of the same raw words, and
     # both leave the generator in the same state
+    def check(p_del, shape):
+        g1 = RandomStream(7).child(3).generator()
+        g2 = RandomStream(7).child(3).generator()
+        expected = _reference_keep(*shape, p_del, g1.bit_generator)
+        keep = deletion_keep_matrix(*shape, p_del, g2)
+        assert keep.shape == shape and keep.dtype == bool
+        assert (keep == expected).all(), (p_del, shape)
+        assert (g1.bit_generator.random_raw(4) == g2.bit_generator.random_raw(4)).all()
+
     for p_del in (0.0, 0.5, 0.9, 0.99, 253.5 / 256, 1.0):
         for shape in ((16, 5), (3, 7), (1, 1), (40, 33), (100, 61), (0, 4), (4, 0)):
-            g1 = RandomStream(7).child(3).generator()
-            g2 = RandomStream(7).child(3).generator()
-            expected = _reference_keep(*shape, p_del, g1.bit_generator)
-            keep = deletion_keep_matrix(*shape, p_del, g2)
-            assert keep.shape == shape and keep.dtype == bool
-            assert (keep == expected).all(), (p_del, shape)
-            assert (g1.bit_generator.random_raw(4) == g2.bit_generator.random_raw(4)).all()
+            check(p_del, shape)
+    # blocks of 64 cells: each shape spans three or more, most of them end
+    # inside a row, and the last ends inside a word except for (8, 24),
+    # three whole blocks; ties fall in several blocks and draw their words
+    # after the last
+    monkeypatch.setattr(mechanisms, "_BLOCK_CELLS", 64)
+    for p_del in (0.9, 0.99, 253.5 / 256):
+        for shape in ((7, 29), (3, 67), (8, 24), (13, 31), (100, 61)):
+            assert shape[0] * shape[1] >= 3 * 64
+            check(p_del, shape)
 
 
 def test_tie_branch_law():
