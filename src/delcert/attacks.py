@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterable
 
 from .classifier import BaseClassifier, LabeledDataset
 from .edit_metrics import FULL_OPS, edit_distance
@@ -72,16 +72,32 @@ class AttackOutcome:
 
 @dataclass(frozen=True)
 class AttackReport:
+    """Attack outcomes, at least one; the accuracies and the mean query
+    count are computed from them."""
+
     outcomes: tuple[AttackOutcome, ...]
-    clean_accuracy: float
-    robust_accuracy: float
-    mean_queries: float
     #: instances the harness could not attack at all (e.g. classifier
     #: transport failures); never counted among the attack outcomes
     harness_errors: tuple[tuple[int, str], ...] = ()
 
+    def __post_init__(self) -> None:
+        if not self.outcomes:
+            raise ValueError("report needs at least one instance")
+
     def count(self, status: str) -> int:
         return sum(1 for o in self.outcomes if o.status == status)
+
+    @property
+    def clean_accuracy(self) -> float:
+        return (len(self.outcomes) - self.count(SKIPPED)) / len(self.outcomes)
+
+    @property
+    def robust_accuracy(self) -> float:
+        return (self.count(FAIL) + self.count(TIMEOUT)) / len(self.outcomes)
+
+    @property
+    def mean_queries(self) -> float:
+        return sum(o.queries_used for o in self.outcomes) / len(self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -240,22 +256,27 @@ def _attack_instance(
         return replace(base, status=halt.status, queries_used=budget.used)
 
 
-def _build_report(
-    outcomes: Sequence[AttackOutcome],
-    harness_errors: Sequence[tuple[int, str]] = (),
-) -> AttackReport:
-    total = len(outcomes)
-    if total == 0:
-        raise ValueError("report needs at least one instance")
-    skipped = sum(1 for o in outcomes if o.status == SKIPPED)
-    robust = sum(1 for o in outcomes if o.status in (FAIL, TIMEOUT))
-    return AttackReport(
-        outcomes=tuple(outcomes),
-        clean_accuracy=(total - skipped) / total,
-        robust_accuracy=robust / total,
-        mean_queries=sum(o.queries_used for o in outcomes) / total,
-        harness_errors=tuple(harness_errors),
-    )
+def _drive(attack_one: Callable, work: Iterable[tuple[int, object]], jobs: int = 1) -> AttackReport:
+    """The report of ``attack_one(index, item)`` over the pairs of ``work``, in
+    order, on ``jobs`` threads.  A :class:`TransportError` makes its instance a
+    harness error; when no outcome is left, the first is raised for the run."""
+
+    def one(pair: tuple[int, object]) -> AttackOutcome | tuple[int, str]:
+        try:
+            return attack_one(*pair)
+        except TransportError as exc:
+            return (pair[0], str(exc))
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(one, work))
+    else:
+        results = list(map(one, work))
+    outcomes = tuple(r for r in results if isinstance(r, AttackOutcome))
+    errors = tuple(r for r in results if not isinstance(r, AttackOutcome))
+    if not outcomes:
+        raise TransportError(f"no instance could be attacked: {errors[0][1]}")
+    return AttackReport(outcomes, errors)
 
 
 def run_attack(
@@ -266,7 +287,7 @@ def run_attack(
     scheme: Scheme = Scheme.WHITESPACE,
     jobs: int = 1,
 ) -> AttackReport:
-    """Attack every instance; outcomes are merged in instance order.
+    """Attack every instance; outcomes are in instance order.
 
     Transport failures of the target classifier are recorded per
     instance under ``harness_errors`` rather than as attack outcomes.
@@ -276,60 +297,29 @@ def run_attack(
     if lexicon is None:
         lexicon = lexicon_from_dataset(data, scheme=scheme)
 
-    def one(args: tuple[int, tuple[str, int]]) -> AttackOutcome | tuple[int, str]:
-        idx, (text, label) = args
-        try:
-            return _attack_instance(target, idx, text, label, recipe, lexicon, scheme)
-        except TransportError as exc:
-            return (idx, str(exc))
+    def one(idx: int, item: tuple[str, int]) -> AttackOutcome:
+        return _attack_instance(target, idx, *item, recipe, lexicon, scheme)
 
-    work = list(enumerate(data.items))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, work))
-    else:
-        results = [one(w) for w in work]
-    outcomes = sorted(
-        (r for r in results if isinstance(r, AttackOutcome)), key=lambda o: o.instance_index
-    )
-    errors = sorted(r for r in results if not isinstance(r, AttackOutcome))
-    return _build_report(outcomes, errors)
+    return _drive(one, enumerate(data.items), jobs)
 
 
 def transfer_attack(source_report: AttackReport, target: BaseClassifier) -> AttackReport:
     """Replay the source's successful adversarial texts against ``target``.
 
     Only source successes transfer; clean and robust accuracy are
-    computed on that subset.
+    computed on that subset.  Transport failures are harness errors, as
+    in :func:`run_attack`.
     """
     successes = [o for o in source_report.outcomes if o.status == SUCCESS]
     if not successes:
         raise DataFormatError("source report contains no successful attacks to transfer")
-    outcomes = []
-    for o in successes:
-        assert o.adversarial_text is not None
-        clean = target.classify_batch([o.original_text])[0]
-        if clean != o.true_label:
-            outcomes.append(
-                AttackOutcome(o.instance_index, SKIPPED, 1, o.original_text, o.true_label)
-            )
-            continue
-        adv_pred = target.classify_batch([o.adversarial_text])[0]
-        if adv_pred != o.true_label:
-            outcomes.append(
-                AttackOutcome(
-                    o.instance_index,
-                    SUCCESS,
-                    2,
-                    o.original_text,
-                    o.true_label,
-                    adversarial_text=o.adversarial_text,
-                    edit_distance_used=o.edit_distance_used,
-                )
-            )
-        else:
-            outcomes.append(
-                AttackOutcome(o.instance_index, FAIL, 2, o.original_text, o.true_label)
-            )
-    return _build_report(outcomes)
+    lost = dict(adversarial_text=None, edit_distance_used=None)
 
+    def replay(_: int, o: AttackOutcome) -> AttackOutcome:
+        if target.classify_batch([o.original_text])[0] != o.true_label:
+            return replace(o, status=SKIPPED, queries_used=1, **lost)
+        if target.classify_batch([o.adversarial_text])[0] != o.true_label:
+            return replace(o, queries_used=2)
+        return replace(o, status=FAIL, queries_used=2, **lost)
+
+    return _drive(replay, ((o.instance_index, o) for o in successes))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, islice, repeat
 from typing import Iterable, Protocol, Sequence
 
@@ -122,35 +122,28 @@ class BuiltinModel:
     tokens: tuple[str, ...]  # sorted vocabulary
     token_counts: np.ndarray  # (V, C) token occurrence counts per class
     _token_index: dict[str, int] = field(init=False, repr=False)
-    _log_like: np.ndarray | None = field(default=None, init=False, repr=False)
-    _log_prior: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._token_index = {tok: i for i, tok in enumerate(self.tokens)}
 
     # -- derived parameters ------------------------------------------------
-    @property
+    @cached_property
     def log_prior(self) -> np.ndarray:
-        if self._log_prior is None:
-            total = self.class_doc_counts.sum()
-            self._log_prior = np.log(self.class_doc_counts / total)
-        return self._log_prior
+        return np.log(self.class_doc_counts / self.class_doc_counts.sum())
 
-    @property
+    @cached_property
     def log_likelihood(self) -> np.ndarray:
         """(V+1, C) log token probabilities; the extra last row is a zero
         row used as the no-evidence slot for out-of-vocabulary tokens."""
-        if self._log_like is None:
-            if len(self.tokens) == 0:
-                like = np.zeros((0, self.num_classes))
-            else:
-                counts = self.token_counts.astype(np.float64)
-                class_totals = counts.sum(axis=0)
-                like = np.log(counts + _SMOOTHING) - np.log(
-                    class_totals + _SMOOTHING * len(self.tokens)
-                )
-            self._log_like = np.vstack([like, np.zeros((1, self.num_classes))])
-        return self._log_like
+        if len(self.tokens) == 0:
+            like = np.zeros((0, self.num_classes))
+        else:
+            counts = self.token_counts.astype(np.float64)
+            class_totals = counts.sum(axis=0)
+            like = np.log(counts + _SMOOTHING) - np.log(
+                class_totals + _SMOOTHING * len(self.tokens)
+            )
+        return np.vstack([like, np.zeros((1, self.num_classes))])
 
     # -- scoring -----------------------------------------------------------
     def token_rows(self, tokens: Sequence[str]) -> np.ndarray:

@@ -38,7 +38,7 @@ from .edit_metrics import (
 )
 from .errors import DataFormatError, DelcertError, GuardError, UsageError
 from .external import ExternalClassifier
-from .mechanisms import MechanismKind, MechanismParams
+from .mechanisms import MechanismParams
 from .rng import RandomStream
 from .textcrs import deletion_cover_radii, insertion_cover_radii, max_certified_edit_radius
 from .tokenization import Scheme, TokenSeq, tokenize
@@ -113,10 +113,6 @@ def load_dataset(path: str) -> LabeledDataset:
     return LabeledDataset.from_pairs(pairs)
 
 
-def _mechanism(args: argparse.Namespace) -> MechanismParams:
-    return MechanismParams(MechanismKind(args.mechanism), args.rate)
-
-
 @contextlib.contextmanager
 def _classifier(args: argparse.Namespace):
     """The base classifier: a child started from ``--external-cmd``, closed
@@ -135,10 +131,8 @@ def _classifier(args: argparse.Namespace):
         model = ExternalClassifier(args.external_cmd, num_classes=args.num_classes or 2)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot start --external-cmd {args.external_cmd!r}: {exc}") from exc
-    try:
+    with model:
         yield model
-    finally:
-        model.close()
 
 
 def _input_scheme(model, args: argparse.Namespace) -> Scheme:
@@ -171,7 +165,7 @@ def _make_target(args: argparse.Namespace, model, scheme: Scheme):
         return model
     return SmoothedPredictor(
         model,
-        MechanismParams(MechanismKind(smoothing["mechanism"]), smoothing["rate"]),
+        MechanismParams(smoothing["mechanism"], smoothing["rate"]),
         n_samples=smoothing["prediction_samples"],
         stream=RandomStream(args.seed),
         scheme=scheme,
@@ -202,7 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     data = load_dataset(args.data)
     model = train_builtin(
         data,
-        _mechanism(args),
+        MechanismParams(args.mechanism, args.rate),
         samples_per_instance=args.samples_per_instance,
         stream=RandomStream(args.seed),
         scheme=_input_scheme(None, args),
@@ -214,7 +208,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     data = load_dataset(args.data)
-    mech = _mechanism(args)
+    mech = MechanismParams(args.mechanism, args.rate)
     stream = RandomStream(args.seed)
     rows: list[list] = [["instance", "true_label", "predicted"]]
     correct = 0
@@ -234,7 +228,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     if not 0.0 < args.rate < 1.0:
         raise UsageError(f"certify needs a rate strictly between 0 and 1, got {args.rate!r}")
-    mech = MechanismParams(MechanismKind.DELETION, args.rate)
+    mech = MechanismParams("deletion", args.rate)
     stream = RandomStream(args.seed)
     data = load_dataset(args.data)
 
@@ -402,9 +396,6 @@ def _report_from_json(path: str) -> atk.AttackReport:
             payload = json.load(fh)
             return atk.AttackReport(
                 outcomes=tuple(atk.AttackOutcome(**o) for o in payload["outcomes"]),
-                clean_accuracy=payload["clean_accuracy"],
-                robust_accuracy=payload["robust_accuracy"],
-                mean_queries=payload["mean_queries"],
                 harness_errors=tuple(tuple(e) for e in payload.get("harness_errors", [])),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -55,15 +55,6 @@ class EditOpsSet:
         if not (self.allow_del or self.allow_ins or self.allow_sub):
             raise ValueError("at least one edit operation must be allowed")
 
-    @classmethod
-    def from_letters(cls, letters: str) -> "EditOpsSet":
-        """Parse a compact spelling such as ``"dis"``, ``"di"`` or ``"s"``."""
-        letters = letters.lower()
-        bad = set(letters) - {"d", "i", "s"}
-        if bad or not letters:
-            raise ValueError(f"ops spelling must be a non-empty subset of 'dis', got {letters!r}")
-        return cls("d" in letters, "i" in letters, "s" in letters)
-
     @property
     def letters(self) -> str:
         return ("d" if self.allow_del else "") + ("i" if self.allow_ins else "") + (

@@ -38,10 +38,14 @@ class MechanismKind(str, Enum):
 
 @dataclass(frozen=True)
 class MechanismParams:
+    """A mechanism and its rate; ``kind`` may be given by its value
+    (``"deletion"``), which becomes the :class:`MechanismKind`."""
+
     kind: MechanismKind
     rate: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", MechanismKind(self.kind))
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must lie in [0, 1], got {self.rate}")
 

@@ -12,11 +12,14 @@ That is exactly the array numpy's ``SeedSequence`` coerces the tuple
 ``(seed, *path)`` into, so every stream is that of
 ``SeedSequence((seed, *path))``, a negative index raises ``ValueError``
 as there, and building the array here skips numpy's per-index coercion.
+An index is an integer, numpy's too (``operator.index``): any other
+value, a float included, raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +31,7 @@ def derive_generator(seed: int, *path: int) -> np.random.Generator:
     """Counter-based generator for the stream addressed by ``(seed, *path)``."""
     words = []
     for index in (seed, *path):
-        index = int(index)
+        index = operator.index(index)
         if index < 0:
             raise ValueError(f"stream indices must be non-negative, got {index}")
         words.append(index & _MASK32)
@@ -46,7 +49,7 @@ class RandomStream:
     path: tuple[int, ...] = ()
 
     def child(self, *indices: int) -> "RandomStream":
-        return RandomStream(self.seed, self.path + tuple(map(int, indices)))
+        return RandomStream(self.seed, self.path + tuple(map(operator.index, indices)))
 
     def generator(self) -> np.random.Generator:
         return derive_generator(self.seed, *self.path)

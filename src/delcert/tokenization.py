@@ -30,7 +30,7 @@ class Scheme(str, Enum):
 
     @property
     def splitter(self):
-        """The function :func:`split_tokens` applies to a text."""
+        """The function that splits a text into the tokens of :func:`tokenize`."""
         return str.split if self is Scheme.WHITESPACE else _graphemes
 
 
@@ -67,11 +67,6 @@ def _graphemes(text: str) -> list[str]:
     return out
 
 
-def split_tokens(text: str, scheme: Scheme) -> list[str]:
-    """The tokens of :func:`tokenize` as a plain list, without a :class:`TokenSeq`."""
-    return scheme.splitter(text)
-
-
 def tokenize(text: str, scheme: Scheme | str = Scheme.WHITESPACE) -> TokenSeq:
     """Split ``text`` into tokens under the given scheme.
 
@@ -79,7 +74,7 @@ def tokenize(text: str, scheme: Scheme | str = Scheme.WHITESPACE) -> TokenSeq:
     character yields one token per grapheme, spaces included.
     """
     scheme = Scheme(scheme)
-    return TokenSeq(tuple(split_tokens(text, scheme)), scheme)
+    return TokenSeq(tuple(scheme.splitter(text)), scheme)
 
 
 def detokenize(seq: TokenSeq) -> str:

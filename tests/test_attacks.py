@@ -8,15 +8,15 @@ from delcert.attacks import (
     TIMEOUT,
     AttackOutcome,
     AttackRecipe,
+    AttackReport,
     Lexicon,
     lexicon_from_dataset,
     load_lexicon,
-    _build_report,
     run_attack,
     transfer_attack,
 )
 from delcert.certify import SmoothedPredictor
-from delcert.errors import DataFormatError
+from delcert.errors import DataFormatError, TransportError
 from delcert.mechanisms import MechanismKind, MechanismParams
 
 from conftest import ConstantClassifier, KeywordClassifier, SleepyClassifier
@@ -125,13 +125,14 @@ def test_robust_accuracy_definition():
             i, status, 1, "t", 0, adversarial_text="x" if status == SUCCESS else None
         )
 
-    rep = _build_report([out(0, SUCCESS), out(1, FAIL), out(2, SKIPPED), out(3, TIMEOUT)])
+    rep = AttackReport((out(0, SUCCESS), out(1, FAIL), out(2, SKIPPED), out(3, TIMEOUT)))
     assert rep.robust_accuracy == 0.5
     assert rep.clean_accuracy == 0.75
-    all_skipped = _build_report([out(0, SKIPPED), out(1, SKIPPED)])
+    assert rep.mean_queries == 1.0
+    all_skipped = AttackReport((out(0, SKIPPED), out(1, SKIPPED)))
     assert all_skipped.robust_accuracy == 0.0
     with pytest.raises(ValueError):
-        _build_report([])
+        AttackReport(())
 
 
 def test_success_replays_against_same_target():
@@ -213,17 +214,18 @@ def test_default_lexicon_from_dataset():
     assert lex.default == ("x", "y")
 
 
+class FlakyClassifier:
+    """Keyword rule whose transport fails on any text holding ``broken``."""
+
+    num_classes = 2
+
+    def classify_batch(self, texts):
+        if any("broken" in t for t in texts):
+            raise TransportError("connection lost")
+        return [1 if "a" in t.split() else 0 for t in texts]
+
+
 def test_transport_errors_are_harness_errors_not_outcomes():
-    from delcert.errors import TransportError
-
-    class FlakyClassifier:
-        num_classes = 2
-
-        def classify_batch(self, texts):
-            if any("broken" in t for t in texts):
-                raise TransportError("connection lost")
-            return [1 if "a" in t.split() else 0 for t in texts]
-
     data = LabeledDataset.from_pairs(
         [("a w0 w1", 1), ("broken a w2", 1), ("p q r", 0)], 2
     )
@@ -231,6 +233,35 @@ def test_transport_errors_are_harness_errors_not_outcomes():
     assert len(report.outcomes) == 2  # the broken instance is not an outcome
     assert report.harness_errors == ((1, "connection lost"),)
     assert {o.instance_index for o in report.outcomes} == {0, 2}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_attackable_instance_is_one_transport_error(jobs):
+    data = LabeledDataset.from_pairs([("broken a", 1), ("broken b", 0)], 2)
+    with pytest.raises(TransportError, match="^no instance could be attacked: connection lost$"):
+        run_attack(FlakyClassifier(), data, AttackRecipe(), LEX, jobs=jobs)
+
+
+def test_transfer_records_a_failed_replay_as_a_harness_error():
+    # one replay of each kind: still a success, skipped (clean check wrong),
+    # broken transport, fail; the source's failure does not transfer
+    def success(i, original, adversarial):
+        return AttackOutcome(i, SUCCESS, 3, original, 1, adversarial_text=adversarial,
+                             edit_distance_used=1)
+
+    source = AttackReport((
+        success(0, "a w0", "w0"), AttackOutcome(1, FAIL, 4, "a x", 1), success(2, "w2", "v2"),
+        success(3, "a w3", "broken w3"), success(4, "a w4", "a v4"),
+    ))
+    report = transfer_attack(source, FlakyClassifier())
+    assert report.harness_errors == ((3, "connection lost"),)
+    assert report.outcomes == (
+        AttackOutcome(0, SUCCESS, 2, "a w0", 1, adversarial_text="w0", edit_distance_used=1),
+        AttackOutcome(2, SKIPPED, 1, "w2", 1),
+        AttackOutcome(4, FAIL, 2, "a w4", 1),
+    )
+    with pytest.raises(TransportError, match="^no instance could be attacked: connection lost$"):
+        transfer_attack(AttackReport((success(3, "a w3", "broken w3"),)), FlakyClassifier())
 
 
 def test_run_attack_accepts_bare_classifier():

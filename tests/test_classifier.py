@@ -12,7 +12,7 @@ from delcert.mechanisms import (
     masking_keep_matrix,
 )
 from delcert.rng import RandomStream
-from delcert.tokenization import Scheme, split_tokens, tokenize
+from delcert.tokenization import Scheme, tokenize
 
 from conftest import marker_presence_dataset
 
@@ -172,7 +172,7 @@ def test_mask_token_is_one_token(scheme):
     model = train_builtin(data, mech, 4, RandomStream(1), scheme)
     seen = {tok for text, _ in data.items for tok in tokenize(text, scheme).tokens}
     (mask,) = set(model.tokens) - seen
-    assert split_tokens(scheme.separator.join(["a", mask, "b"]), scheme) == ["a", mask, "b"]
+    assert scheme.splitter(scheme.separator.join(["a", mask, "b"])) == ["a", mask, "b"]
 
 
 def test_training_is_deterministic():

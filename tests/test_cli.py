@@ -225,7 +225,8 @@ def test_predict_matches_certify_prediction(trained):
     assert len(set(predicted("p.csv"))) == 2
 
 
-_REPORT = {"outcomes": [], "clean_accuracy": 1.0, "robust_accuracy": 1.0, "mean_queries": 0.0}
+_REPORT = {"outcomes": [{"instance_index": 0, "status": "fail", "queries_used": 4,
+                          "original_text": "a b", "true_label": 1}]}
 
 
 @pytest.mark.parametrize(
@@ -246,7 +247,7 @@ def test_data_error_exit_3(trained, case, capsys):
     text, argv = {
         "report-not-json": ("not json", transfer),
         "report-lacks-key": (
-            json.dumps({k: v for k, v in _REPORT.items() if k != "clean_accuracy"}), transfer
+            json.dumps({k: v for k, v in _REPORT.items() if k != "outcomes"}), transfer
         ),
         "report-no-success": (json.dumps(_REPORT), transfer),
         "model-lacks-tokens": (json.dumps({k: v for k, v in model.items() if k != "tokens"}),
@@ -489,6 +490,34 @@ def test_base_target_rejects_smoothing_flags(trained, command, flag, value, caps
     # a smoothed target takes and records the same config value
     assert main([*argv, "--target", "smoothed", "--config", str(config)]) == 0
     assert str(json.loads(out.read_text())[flag[2:].replace("-", "_")]) == value
+
+
+_UNATTACKABLE = {
+    "attack-base": ["attack", "--target", "base"],
+    "attack-smoothed": ["attack", "--target", "smoothed", "--prediction-samples", "5"],
+    "transfer": ["transfer"],
+}
+
+
+@pytest.mark.parametrize("mode", ["quit", "range"])
+@pytest.mark.parametrize("command", sorted(_UNATTACKABLE))
+def test_failing_external_classifier_exits_3(tmp_path, worker_cmd, command, mode, capsys):
+    """A classifier that fails every request ends an attack or a transfer
+    with exit 3 and one ``error:`` line, not a traceback."""
+    data, source, out = tmp_path / "d.jsonl", tmp_path / "source.json", tmp_path / "r.json"
+    data.write_text('{"text": "a b c", "label": 0}\n{"text": "d e", "label": 1}\n',
+                    encoding="utf-8")
+    source.write_text(json.dumps({"outcomes": [
+        {"instance_index": 0, "status": "success", "queries_used": 3, "original_text": "a b c",
+         "true_label": 0, "adversarial_text": "a c", "edit_distance_used": 1},
+    ]}), encoding="utf-8")
+    first = ["--source-report", str(source)] if command == "transfer" else ["--data", str(data)]
+    argv = [*_UNATTACKABLE[command], *first, "--external-cmd", shlex.join(worker_cmd(mode)),
+            "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no instance could be attacked: "), err
+    assert not out.exists()
 
 
 def test_attack_external_echo(trained, tmp_path, capsys):
@@ -882,6 +911,11 @@ def test_dropped_flags_exit_2(argv, capsys):
 def test_every_option_is_taken_by_a_command():
     taken = {f.rstrip("!") for _, _, flags in cli._COMMANDS.values() for f in flags.split()}
     assert taken == set(cli._FLAGS)
+
+
+def test_option_count_pinned():
+    # the CLI's size in options; adding or dropping one changes this number on purpose
+    assert sum(len(flags.split()) for _, _, flags in cli._COMMANDS.values()) == 80
 
 
 def test_readme_lists_each_command_flags():

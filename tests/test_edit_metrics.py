@@ -154,18 +154,13 @@ def test_decomposition_invariants(a, b):
 # -- ops set -----------------------------------------------------------------
 
 
-def test_ops_letters_round_trip():
-    for letters in ("dis", "d", "i", "s", "di", "ds", "is"):
-        assert EditOpsSet.from_letters(letters).letters == letters
+def test_ops_letters_of_all_sets():
+    assert [ops.letters for ops in ALL_OPS_SETS] == ["dis", "ds", "is", "s", "di", "d", "i"]
 
 
 def test_ops_empty_rejected():
     with pytest.raises(ValueError):
         EditOpsSet(False, False, False)
-    with pytest.raises(ValueError):
-        EditOpsSet.from_letters("")
-    with pytest.raises(ValueError):
-        EditOpsSet.from_letters("x")
 
 
 # -- enumerate_ball ----------------------------------------------------------

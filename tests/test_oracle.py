@@ -444,7 +444,8 @@ def test_balls_inside_a_verified_ball_are_not_enumerated(ball_calls):
 
 def test_balls_outside_every_verified_ball_are_enumerated(ball_calls):
     kw, x, y, alphabet = KeywordClassifier("a"), tokenize("b c"), tokenize("c b"), ["a", "b", "c"]
-    ds, s, i = (EditOpsSet.from_letters(o) for o in ("ds", "s", "i"))
+    ds, s, i = (EditOpsSet(True, False, True), EditOpsSet(False, False, True),
+                EditOpsSet(False, True, False))
     steps = [  # (model, x, radius, ops, alphabet, p_del, enumerates)
         (kw, x, 1, ds, alphabet, 0.5, True),
         (kw, x, 1, s, alphabet, 0.5, False),
@@ -466,7 +467,7 @@ def test_balls_outside_every_verified_ball_are_enumerated(ball_calls):
 
 def test_mutating_an_answer_leaves_later_answers():
     kw, x, alphabet, p = KeywordClassifier("a"), tokenize("b c"), ["a", "b", "c"], 0.5
-    sub = EditOpsSet.from_letters("s")
+    sub = EditOpsSet(False, False, True)
     expected = {ops: _per_member_reference(kw, x, 2, ops, alphabet, p) for ops in (FULL_OPS, sub)}
     for ops in (FULL_OPS, sub, FULL_OPS, sub):  # enumerated, then read off the memo
         found = verify_certificate(kw, x, 2, ops, alphabet, p)

@@ -47,6 +47,26 @@ def test_negative_indices_raise(address):
         np.random.SeedSequence(tuple(address))
 
 
+@pytest.mark.parametrize("index", [0.9, 3.0, np.float64(2.0), "1"], ids=repr)
+def test_non_integer_indices_raise(index):
+    # a float was once truncated to int, so .child(0.9) silently addressed .child(0)
+    with pytest.raises(TypeError):
+        RandomStream(3).child(index)
+    with pytest.raises(TypeError):
+        derive_generator(3, index)
+    with pytest.raises(TypeError):
+        derive_generator(index)
+
+
+def test_numpy_integer_indices_give_the_same_words():
+    for index in (np.int8(7), np.uint16(7), np.int64(7), np.uint64(7)):
+        assert RandomStream(3).child(index).path == (7,)
+        assert type(RandomStream(3).child(index).path[0]) is int
+        assert _first_words(derive_generator(np.uint32(3), index).bit_generator) == _first_words(
+            derive_generator(3, 7).bit_generator
+        )
+
+
 def test_text_fingerprint_pinned():
     assert text_fingerprint("the quick brown fox") == 7546964813429208407
     assert text_fingerprint("naïve café – 東京") == 4973161620633395296
