@@ -8,6 +8,9 @@ bounds:
     {del} or {del, ins}:      1 / (1 - mu_y' + mu_y)
     {ins}:                    1 + mu_y' - mu_y
 
+These follow from the pairwise score bounds of RS-Del (Huang et al.
+2023), which the tests state and check exhaustively.
+
 A float logarithm only seeds the search: an overstated radius would be a
 soundness bug, so ``r`` is accepted in exact integers, as ``m**r * den >
 num * e**r`` for ``p_del == m / e`` and the threshold ``num / den`` (from
@@ -40,7 +43,6 @@ from .edit_metrics import (
     BOUND_MEMO_SIZE,
     FULL_OPS,
     CardinalityParams,
-    EditDecomposition,
     EditOpsSet,
     lev_ball_cardinality_lower_bound,
 )
@@ -273,22 +275,6 @@ def score_bounds(est: ScoreEstimate, alpha: float, mode: str = "bonferroni-cp") 
 def _check_p_del(p_del: float) -> None:
     if not 0.0 < p_del < 1.0:
         raise ValueError(f"p_del must lie strictly in (0, 1), got {p_del}")
-
-
-def pairwise_bounds(
-    p_y_at_x: float, dec: EditDecomposition, p_del: float
-) -> tuple[float, float]:
-    """Bounds on a class score at a neighbor, given its score at ``x``.
-
-    ``dec`` decomposes the transformation of the *neighbor into x*.
-    Values are intentionally not clipped to [0, 1]; clipping is a
-    report-time choice.
-    """
-    _check_p_del(p_del)
-    shift = p_del ** (dec.n_del - dec.n_ins)
-    lower = shift * (p_y_at_x - 1.0 + p_del ** (dec.n_sub + dec.n_ins))
-    upper = shift * p_y_at_x + 1.0 - p_del ** (dec.n_sub + dec.n_del)
-    return lower, upper
 
 
 @functools.lru_cache(maxsize=BOUND_MEMO_SIZE)

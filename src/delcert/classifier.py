@@ -129,7 +129,10 @@ class BuiltinModel:
     # -- derived parameters ------------------------------------------------
     @cached_property
     def log_prior(self) -> np.ndarray:
-        return np.log(self.class_doc_counts / self.class_doc_counts.sum())
+        """Log class frequencies: a class with no documents gets -inf, so
+        it is never predicted."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.class_doc_counts / self.class_doc_counts.sum())
 
     @cached_property
     def log_likelihood(self) -> np.ndarray:
@@ -207,16 +210,19 @@ class BuiltinModel:
                 doc_counts = np.asarray(payload["class_doc_counts"], dtype=np.int64)
                 if doc_counts.shape != (num_classes,):
                     raise ValueError(f"{doc_counts.size} class_doc_counts for {num_classes} classes")
-                return cls(
-                    scheme=Scheme(payload["scheme"]),
-                    num_classes=num_classes,
-                    class_doc_counts=doc_counts,
-                    tokens=tokens,
-                    token_counts=np.asarray(payload["token_counts"], dtype=np.int64).reshape(
-                        len(tokens), num_classes
-                    ),
+                if doc_counts.min() < 0 or doc_counts.sum() < 1:
+                    raise ValueError(f"class_doc_counts {doc_counts.tolist()} need a positive "
+                                     "total and no negative count")
+                token_counts = np.asarray(payload["token_counts"], dtype=np.int64).reshape(
+                    len(tokens), num_classes
                 )
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                negative = np.flatnonzero((token_counts < 0).any(axis=1))
+                if negative.size:
+                    row = negative[0]
+                    raise ValueError(f"token_counts row {row} ({tokens[row]!r}) holds a "
+                                     "negative count")
+                return cls(Scheme(payload["scheme"]), num_classes, doc_counts, tokens, token_counts)
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: not a valid model file ({exc!r})") from exc
 
 

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import re
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -84,6 +85,16 @@ def _config_defaults(command: str, path: str) -> dict[str, object]:
     return defaults
 
 
+def _integer(value, name: str, cell: bool = False) -> int:
+    """``value`` as an int: a JSON integer (not a bool), or with ``cell`` a
+    CSV cell of ASCII digits after an optional minus sign."""
+    if cell and isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    if not cell and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} {value!r} is not an integer")
+
+
 def load_dataset(path: str) -> LabeledDataset:
     """Read a JSONL or CSV dataset; malformed rows report their line number."""
     pairs: list[tuple[str, int]] = []
@@ -92,7 +103,8 @@ def load_dataset(path: str) -> LabeledDataset:
     except OSError as exc:
         raise DataFormatError(f"cannot open dataset {path}: {exc}") from exc
     with fh:
-        if path.endswith(".csv"):
+        cell = path.endswith(".csv")
+        if cell:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
                 raise DataFormatError(f"{path}: CSV needs a text,label header")
@@ -101,8 +113,8 @@ def load_dataset(path: str) -> LabeledDataset:
             rows = ((lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip())
         for lineno, row in rows:
             try:
-                obj = json.loads(row) if isinstance(row, str) else row
-                text, label = str(obj["text"]), int(obj["label"])
+                obj = row if cell else json.loads(row)
+                text, label = str(obj["text"]), _integer(obj["label"], "label", cell)
                 if label < 0:
                     raise ValueError(f"negative label {label}")
                 pairs.append((text, label))
@@ -280,12 +292,19 @@ def cmd_curve(args: argparse.Namespace) -> int:
     missing = {"true_label", "predicted", "abstained", "log10_cc_lb"} - set(rows[0])
     if missing:
         raise DataFormatError(f"{args.records}: records lack columns {sorted(missing)}")
-    # an abstention certifies nothing, so it counts as wrong (Cohen et al. 2019)
-    correct = [r["predicted"] == r["true_label"] and r["abstained"] == "0" for r in rows]
-    try:
-        log_cc = [float(r["log10_cc_lb"]) for r in rows]
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{args.records}: bad log10_cc_lb ({exc})") from exc
+    correct, log_cc = [], []
+    for lineno, r in enumerate(rows, start=2):
+        try:
+            true_label, predicted, abstained = (
+                _integer(r[key], key, cell=True) for key in ("true_label", "predicted", "abstained")
+            )
+            log_cc.append(float(r["log10_cc_lb"]))
+            if not math.isfinite(log_cc[-1]):
+                raise ValueError(f"log10_cc_lb {r['log10_cc_lb']!r} is not finite")
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{args.records}:{lineno}: bad record ({exc})") from exc
+        # an abstention certifies nothing, so it counts as wrong (Cohen et al. 2019)
+        correct.append(predicted == true_label and not abstained)
     if args.thresholds:
         thresholds = args.thresholds
     else:
@@ -390,12 +409,29 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
+def _outcome_from_json(i: int, o: dict) -> atk.AttackOutcome:
+    """Outcome ``i`` of a report, once each field has its type: a string in
+    the text fields, an integer (not a bool) in the others, and null only in
+    the two that a success alone fills."""
+    try:
+        for key, value in o.items():
+            if value is None and key in ("adversarial_text", "edit_distance_used"):
+                continue
+            if key not in ("status", "original_text", "adversarial_text"):
+                _integer(value, key)
+            elif not isinstance(value, str):
+                raise ValueError(f"{key} {value!r} is not a string")
+        return atk.AttackOutcome(**o)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"outcome {i}: {exc}") from exc
+
+
 def _report_from_json(path: str) -> atk.AttackReport:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
             return atk.AttackReport(
-                outcomes=tuple(atk.AttackOutcome(**o) for o in payload["outcomes"]),
+                outcomes=tuple(_outcome_from_json(i, o) for i, o in enumerate(payload["outcomes"])),
                 harness_errors=tuple(tuple(e) for e in payload.get("harness_errors", [])),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -1,5 +1,4 @@
-"""Constrained token edit distance, edit decompositions, edit balls and
-their cardinalities.
+"""Constrained token edit distance, edit balls and their cardinalities.
 
 Conventions
 -----------
@@ -77,41 +76,6 @@ ALL_OPS_SETS: tuple[EditOpsSet, ...] = (
 
 
 @dataclass(frozen=True)
-class EditDecomposition:
-    """Operation counts decomposing the minimal edit distance over an
-    LCS anchor.
-
-    The ``lcs_length`` tokens of a longest common subsequence are
-    treated as untouched, so ``lcs_length == |a| - n_del - n_sub ==
-    |b| - n_ins - n_sub`` while ``distance == n_del + n_ins + n_sub``
-    stays minimal.  Anchoring on the LCS first and then minimizing
-    substitutions makes the decomposition deterministic, and it is the
-    decomposition under which the pairwise score bounds are tightest.
-    """
-
-    distance: int
-    n_del: int
-    n_ins: int
-    n_sub: int
-    lcs_length: int
-
-    @classmethod
-    def from_distances(
-        cls, len_a: int, len_b: int, distance: int, indel: int
-    ) -> "EditDecomposition":
-        """The decomposition of a pair of lengths ``len_a`` and ``len_b``
-        from its full-ops distance and its del/ins-only distance, which is
-        ``len_a + len_b - 2 LCS``."""
-        ell = (len_a + len_b - indel) // 2
-        n_sub = indel - distance
-        n_del = len_a - ell - n_sub
-        n_ins = len_b - ell - n_sub
-        if min(n_sub, n_del, n_ins) < 0:  # pragma: no cover - DP invariant
-            raise AssertionError("inconsistent distance/LCS pair")
-        return cls(distance, n_del, n_ins, n_sub, ell)
-
-
-@dataclass(frozen=True)
 class CardinalityParams:
     """Inputs of the ball-cardinality formulas."""
 
@@ -124,11 +88,6 @@ class CardinalityParams:
             raise ValueError("length and radius must be non-negative")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be positive")
-
-
-def _check_schemes(a: TokenSeq, b: TokenSeq) -> None:
-    if a.scheme != b.scheme:
-        raise SchemeMismatchError(f"cannot compare {a.scheme.value} vs {b.scheme.value} sequences")
 
 
 def _intern_pair(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
@@ -150,19 +109,11 @@ def edit_distance(a: TokenSeq, b: TokenSeq, ops: EditOpsSet = FULL_OPS) -> int |
     Returns ``math.inf`` when no allowed edit script exists, e.g. a
     substitution-only adversary facing unequal lengths.
     """
-    _check_schemes(a, b)
+    if a.scheme != b.scheme:
+        raise SchemeMismatchError(f"cannot compare {a.scheme.value} vs {b.scheme.value} sequences")
     ia, ib = _intern_pair(a.tokens, b.tokens)
     d = kernels.edit_distance_ids(ia, ib, ops.allow_del, ops.allow_ins, ops.allow_sub)
     return math.inf if d < 0 else d
-
-
-def edit_decomposition(a: TokenSeq, b: TokenSeq) -> EditDecomposition:
-    """Operation counts of an LCS-anchored minimal unconstrained script."""
-    _check_schemes(a, b)
-    ia, ib = _intern_pair(a.tokens, b.tokens)
-    d = kernels.edit_distance_ids(ia, ib, True, True, True)
-    indel = kernels.edit_distance_ids(ia, ib, True, True, False)
-    return EditDecomposition.from_distances(len(ia), len(ib), d, indel)
 
 
 def enumerate_ball(
@@ -234,17 +185,6 @@ def hamming_ball_cardinality(params: CardinalityParams) -> int:
     return sum(comb(n, i) * (v - 1) ** i for i in range(r + 1))
 
 
-def supersequence_count(params: CardinalityParams) -> int:
-    """Number of distinct length-``n+r`` supersequences of a length-``n`` sequence.
-
-    Classic result: the count does not depend on the sequence itself.
-    Each such supersequence is reachable by exactly ``r`` insertions, so
-    this is a floor on any radius-``r`` edit-ball cardinality.
-    """
-    n, v, r = params.length, params.vocab_size, params.radius
-    return sum(comb(n + r, i) * (v - 1) ** i for i in range(r + 1))
-
-
 @functools.lru_cache(maxsize=BOUND_MEMO_SIZE)  # pure, and certificates repeat (length, radius) pairs
 def lev_ball_cardinality_lower_bound(params: CardinalityParams) -> int:
     """Certified lower bound on the radius-``r`` edit-ball cardinality.
@@ -257,8 +197,9 @@ def lev_ball_cardinality_lower_bound(params: CardinalityParams) -> int:
     ``sum over m in [n - r, n + r] of S(m, J(m))`` with
     ``S(m, J) = sum_{i <= J} C(m, i) w**i``, ``w = v - 1`` and
     ``J(m) = min(m, r - max(0, n - m))``.  Dominates both
-    :func:`hamming_ball_cardinality` and :func:`supersequence_count`
-    (they appear as the ``m == n`` and ``m == n + r`` terms).
+    :func:`hamming_ball_cardinality` and the number of length-``n + r``
+    supersequences of any length-``n`` sequence (they appear as the
+    ``m == n`` and ``m == n + r`` terms).
 
     The sum takes O(r) big-integer steps along ``m``.  ``J`` starts at 0
     and grows by 0 or 1 per step.  With ``t = C(m, J) w**J`` the last

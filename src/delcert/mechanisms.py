@@ -3,9 +3,10 @@
 Certification, smoothed prediction and training draw both as a boolean
 keep matrix, a row per draw and a column per token, whose cleared cells
 are deleted or shown as the scheme's ``mask_token``.
-:func:`deletion_keep_matrix` reads raw words from ``rng.bit_generator``
-and :func:`pattern_probability` is its mass; :func:`masking_keep_matrix`
-makes one ``rng.choice`` call per row.
+:func:`deletion_keep_matrix` reads raw words from ``rng.bit_generator``,
+deleting each cell independently, so a row's deletion pattern has the
+Bernoulli product mass; :func:`masking_keep_matrix` makes one
+``rng.choice`` call per row.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -115,9 +114,3 @@ def masking_keep_matrix(
             row[rng.choice(n, size=k, replace=False)] = False
     return keep
 
-
-def pattern_probability(deleted: Sequence[int], p_del: float | Fraction) -> float | Fraction:
-    """Bernoulli product mass of a pattern of 0/1 deletion indicators; it
-    sums to one over all 2^n patterns, exactly when ``p_del`` is a Fraction."""
-    k = sum(deleted)
-    return p_del**k * (1 - p_del) ** (len(deleted) - k)

@@ -1,5 +1,5 @@
 """Brute-force ground truth: exact smoothed scores by full pattern
-enumeration, LCS alignment witnesses, and exhaustive certificate checks.
+enumeration, and exhaustive certificate checks.
 
 Everything here is deliberately exponential and guarded to desk scale.
 The oracle exists to validate formulas, not to certify real inputs.
@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifier import BaseClassifier, classify_texts
 from .edit_metrics import EditOpsSet, FULL_OPS, edit_distance, enumerate_ball
-from .errors import GuardError, SchemeMismatchError
+from .errors import GuardError
 from .tokenization import TokenSeq
 
 _ENUM_MAX_TOKENS = 18
@@ -45,16 +45,6 @@ class ExactScores:
     def runner_up(self) -> int:
         top = self.argmax
         return max((c for c in range(len(self.probs)) if c != top), key=self.probs.__getitem__)
-
-
-@dataclass(frozen=True)
-class AlignmentWitness:
-    """Deletion patterns (0/1 indicators, 1 = delete) reducing both
-    sequences to a common LCS."""
-
-    eps_star_src: tuple[int, ...]
-    eps_star_dst: tuple[int, ...]
-    common: TokenSeq
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,47 +199,6 @@ def exact_smoothed_scores(
     if method not in ("fraction", "float"):
         raise ValueError(f"unknown method {method!r}")
     return _smoothed_scores(model, [x], p_del, exact=method == "fraction")[0]
-
-
-def alignment_witness(a: TokenSeq, b: TokenSeq) -> AlignmentWitness:
-    """Deletion patterns taking ``a`` and ``b`` down to a common LCS.
-
-    The flagged positions on each side are exactly the tokens a minimal
-    LCS-anchored edit script deletes or substitutes (source side) and
-    inserts or substitutes (destination side).
-    """
-    if a.scheme != b.scheme:
-        raise SchemeMismatchError("alignment requires a shared scheme")
-    n, m = len(a), len(b)
-    dp = np.zeros((n + 1, m + 1), dtype=np.int64)
-    for i in range(1, n + 1):
-        ai = a.tokens[i - 1]
-        for j in range(1, m + 1):
-            if ai == b.tokens[j - 1]:
-                dp[i, j] = dp[i - 1, j - 1] + 1
-            else:
-                dp[i, j] = max(dp[i - 1, j], dp[i, j - 1])
-    del_a = [1] * n
-    del_b = [1] * m
-    common: list[str] = []
-    i, j = n, m
-    while i > 0 and j > 0:
-        if a.tokens[i - 1] == b.tokens[j - 1] and dp[i, j] == dp[i - 1, j - 1] + 1:
-            del_a[i - 1] = 0
-            del_b[j - 1] = 0
-            common.append(a.tokens[i - 1])
-            i -= 1
-            j -= 1
-        elif dp[i - 1, j] >= dp[i, j - 1]:
-            i -= 1
-        else:
-            j -= 1
-    common.reverse()
-    return AlignmentWitness(
-        eps_star_src=tuple(del_a),
-        eps_star_dst=tuple(del_b),
-        common=TokenSeq(tuple(common), a.scheme),
-    )
 
 
 def verify_certificate(

@@ -18,7 +18,7 @@ class Scheme(str, Enum):
 
     @property
     def separator(self) -> str:
-        """The string :func:`detokenize` joins tokens with."""
+        """The string that joins a sequence's tokens back into a text."""
         return " " if self is Scheme.WHITESPACE else ""
 
     @property
@@ -76,12 +76,3 @@ def tokenize(text: str, scheme: Scheme | str = Scheme.WHITESPACE) -> TokenSeq:
     scheme = Scheme(scheme)
     return TokenSeq(tuple(scheme.splitter(text)), scheme)
 
-
-def detokenize(seq: TokenSeq) -> str:
-    """Inverse of :func:`tokenize` up to whitespace normalization.
-
-    Whitespace joins with single spaces; multi-space or tab runs in the
-    original text are not recoverable (edits are defined over tokens, so
-    byte-level fidelity is irrelevant).
-    """
-    return seq.scheme.separator.join(seq.tokens)

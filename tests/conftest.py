@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from delcert import LabeledDataset, Scheme, TokenSeq
+from delcert.classifier import LabeledDataset
 from delcert.rng import RandomStream
+from delcert.tokenization import Scheme, TokenSeq
 
 DOUBLES_DIR = Path(__file__).parent / "doubles"
 

@@ -13,22 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from delcert import (
-    ALL_OPS_SETS,
-    FULL_OPS,
-    CardinalityParams,
-    EditDecomposition,
-    EditOpsSet,
-    Scheme,
-    TokenSeq,
-    enumerate_ball,
-    hamming_ball_cardinality,
-    lev_ball_cardinality_exact,
-    lev_ball_cardinality_lower_bound,
-    pairwise_bounds,
-    tokenize,
-    train_builtin,
-)
 from delcert.attacks import (
     FAIL,
     SKIPPED,
@@ -46,20 +30,27 @@ from delcert.certify import (
     clopper_pearson_upper,
     radius_from_margin,
 )
+from delcert.classifier import LabeledDataset, train_builtin
 from delcert.cli import main as cli_main
-from delcert.edit_metrics import supersequence_count
-from delcert.kernels import edit_distance_ids
-from delcert.mechanisms import (
-    MechanismKind,
-    MechanismParams,
-    deletion_keep_matrix,
-    pattern_probability,
+from delcert.edit_metrics import (
+    ALL_OPS_SETS,
+    FULL_OPS,
+    CardinalityParams,
+    EditOpsSet,
+    enumerate_ball,
+    hamming_ball_cardinality,
+    lev_ball_cardinality_exact,
+    lev_ball_cardinality_lower_bound,
 )
+from delcert.kernels import edit_distance_ids
+from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
 from delcert.oracle import _smoothed_scores, exact_smoothed_scores
 from delcert.rng import RandomStream
 from delcert.textcrs import max_certified_edit_radius
+from delcert.tokenization import Scheme, TokenSeq, tokenize
 
 from conftest import KeywordClassifier, band_dataset, marker_presence_dataset
+from witnesses import EditDecomposition, pairwise_bounds, pattern_probability, supersequence_count
 
 ALPHABET = ("a", "b", "c")
 P_DELS = (0.5, 0.8)
@@ -326,7 +317,6 @@ def test_criterion_09_attack_protocol_accounting():
         pairs.append((f"s{i} t{i} u{i}", 1))
     for i in range(10):
         pairs.append((f"slowpoke a h{i}", 1))
-    from delcert import LabeledDataset
 
     data = LabeledDataset.from_pairs(pairs, 2)
     seed = 77

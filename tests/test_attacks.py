@@ -1,6 +1,5 @@
 import pytest
 
-from delcert import FULL_OPS, LabeledDataset, edit_distance, tokenize
 from delcert.attacks import (
     FAIL,
     SKIPPED,
@@ -16,8 +15,11 @@ from delcert.attacks import (
     transfer_attack,
 )
 from delcert.certify import SmoothedPredictor
+from delcert.classifier import LabeledDataset
+from delcert.edit_metrics import FULL_OPS, edit_distance
 from delcert.errors import DataFormatError, TransportError
 from delcert.mechanisms import MechanismKind, MechanismParams
+from delcert.tokenization import tokenize
 
 from conftest import ConstantClassifier, KeywordClassifier, SleepyClassifier
 

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delcert import (
+from delcert import edit_metrics
+from delcert.edit_metrics import (
     FULL_OPS,
     CardinalityParams,
-    Scheme,
-    TokenSeq,
+    EditOpsSet,
     enumerate_ball,
     hamming_ball_cardinality,
     lev_ball_cardinality_exact,
     lev_ball_cardinality_lower_bound,
 )
-from delcert import edit_metrics
-from delcert.edit_metrics import EditOpsSet, supersequence_count
 from delcert.errors import GuardError
+from delcert.tokenization import Scheme, TokenSeq
+
+from witnesses import supersequence_count
 
 W = Scheme.WHITESPACE
 

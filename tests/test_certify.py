@@ -11,37 +11,32 @@ import numpy as np
 import pytest
 from scipy.stats import beta
 
-from delcert import (
-    ALL_OPS_SETS,
-    FULL_OPS,
-    EditOpsSet,
-    LabeledDataset,
-    ScoreEstimate,
-    certify,
-    pairwise_bounds,
-    radius_from_margin,
-    score_bounds,
-    smoothed_predict,
-    tokenize,
-    train_builtin,
-)
+import delcert.certify as certify_module
 from delcert.attacks import AttackRecipe, Lexicon, run_attack
 from delcert.certify import (
     UNBOUNDED_RADIUS,
+    ScoreEstimate,
     SmoothedPredictor,
     _radius_search,
+    certify,
     clopper_pearson_lower,
     clopper_pearson_upper,
+    radius_from_margin,
+    score_bounds,
+    smoothed_predict,
     vote_counts,
 )
+from delcert.classifier import LabeledDataset, train_builtin
 from delcert.edit_metrics import (
+    ALL_OPS_SETS,
+    FULL_OPS,
     CardinalityParams,
-    EditDecomposition,
+    EditOpsSet,
     lev_ball_cardinality_lower_bound,
 )
 from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
 from delcert.rng import RandomStream
-from delcert.tokenization import Scheme, TokenSeq, detokenize
+from delcert.tokenization import Scheme, TokenSeq, tokenize
 
 from conftest import (
     ConstantClassifier,
@@ -50,6 +45,7 @@ from conftest import (
     ParityClassifier,
     marker_presence_dataset,
 )
+from witnesses import EditDecomposition, detokenize, pairwise_bounds
 
 DEL90 = MechanismParams(MechanismKind.DELETION, 0.9)
 DEL50 = MechanismParams(MechanismKind.DELETION, 0.5)
@@ -604,16 +600,14 @@ def test_smoothed_predictor_keyed_on_text():
 
 
 def test_vote_counts_samples_through_module_attribute(monkeypatch):
-    # a benchmark traces the sampler by rebinding certify.deletion_keep_matrix;
-    # the package attribute delcert.certify is the function, not the module
-    module = importlib.import_module("delcert.certify")
+    # a benchmark traces the sampler by rebinding certify.deletion_keep_matrix
     calls = []
 
     def counted(*args):
         calls.append(args[:3])
         return deletion_keep_matrix(*args)
 
-    monkeypatch.setattr(module, "deletion_keep_matrix", counted)
+    monkeypatch.setattr(certify_module, "deletion_keep_matrix", counted)
     x = tokenize("a b c")
     rng = RandomStream(1).generator()
     vote_counts(KeywordClassifier(), x, DEL50, 30, rng)
@@ -640,14 +634,13 @@ def test_smoothed_predictor_memo_matches_fresh_predictors():
 
 
 def test_smoothed_predictor_memo_computes_each_text_once_until_evicted(monkeypatch):
-    module = importlib.import_module("delcert.certify")
     computed = []
 
     def counted(model, x, *rest):
         computed.append(detokenize(x))
         return smoothed_predict(model, x, *rest)
 
-    monkeypatch.setattr(module, "smoothed_predict", counted)
+    monkeypatch.setattr(certify_module, "smoothed_predict", counted)
     pred = SmoothedPredictor(ConstantClassifier(1), DEL50, n_samples=1)
     texts = [f"t{i}" for i in range(1024)]
     for t in texts + texts:

@@ -3,8 +3,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from delcert import LabeledDataset, train_builtin
-from delcert.classifier import BuiltinModel, classify_texts
+from delcert.certify import vote_counts
+from delcert.classifier import BuiltinModel, LabeledDataset, classify_texts, train_builtin
 from delcert.mechanisms import (
     MechanismKind,
     MechanismParams,
@@ -197,6 +197,18 @@ def test_empty_text_gets_prior_class():
     data = LabeledDataset((("x y", 0), ("x z", 0), ("q r", 1)), 2)
     model = train_builtin(data, CLEAN, samples_per_instance=1)
     assert model.classify_batch([""]) == [0]  # class 0 has the larger prior
+
+
+def test_class_without_documents_is_never_predicted(tmp_path):
+    # labels {0, 2} leave class 1 empty: its prior is -inf, computed without a warning
+    data = LabeledDataset((("x", 0), ("y", 2)), 3)
+    path = tmp_path / "m.json"
+    train_builtin(data, CLEAN, samples_per_instance=1).save(str(path))
+    model = BuiltinModel.load(str(path))
+    assert model.log_prior[1] == -np.inf
+    assert model.classify_batch(["", "x", "y", "x y", "unseen"]) == [0, 0, 2, 0, 0]
+    votes = vote_counts(model, tokenize("x y y"), DELETE_90, 200, RandomStream(1).generator())
+    assert votes[1] == 0 and sum(votes) == 200
 
 
 def test_training_item_classified_correctly():

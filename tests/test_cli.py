@@ -6,14 +6,20 @@ import re
 import shlex
 import subprocess
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delcert import FULL_OPS, LabeledDataset, Scheme, edit_distance, tokenize
 from delcert import cli
 from delcert.certify import clopper_pearson_lower
+from delcert.classifier import BuiltinModel, LabeledDataset
 from delcert.cli import main
+from delcert.edit_metrics import FULL_OPS, edit_distance
+from delcert.errors import DataFormatError
+from delcert.tokenization import Scheme, tokenize
 
 from conftest import marker_presence_dataset
 
@@ -282,6 +288,98 @@ def test_malformed_jsonl_reports_line(trained, tmp_path, capsys):
     rc = main(["predict", "--model", str(model_path), "--data", str(bad)])
     assert rc == 3
     assert "bad.jsonl:2" in capsys.readouterr().err
+
+
+def _error_line(capsys) -> str:
+    """The one ``error:`` line a failed command printed."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "name, row, where",
+    [
+        ("d.jsonl", '{"text": "c", "label": 1.7}', "label 1.7 is not"),
+        ("d.jsonl", '{"text": "c", "label": true}', "label True is not"),
+        ("d.jsonl", '{"text": "c", "label": "1"}', "label '1' is not"),
+        ("d.csv", "c,1.7", "label '1.7' is not"),
+        ("d.csv", "c,true", "label 'true' is not"),
+        ("d.csv", "c, 1", "label ' 1' is not"),
+    ],
+)
+def test_dataset_reader_rejects_a_label_that_is_not_an_integer(tmp_path, capsys, name, row, where):
+    bad = tmp_path / name
+    first = "text,label\na b,0\n" if name.endswith(".csv") else '{"text": "a b", "label": 0}\n'
+    bad.write_text(first + row + "\n", encoding="utf-8")
+    lineno = 3 if name.endswith(".csv") else 2
+    assert main(["train", "--data", str(bad), "--out", str(tmp_path / "m.json")]) == 3
+    line = _error_line(capsys)
+    assert f"{bad}:{lineno}:" in line and where in line, line
+
+
+_MODEL = {"format_version": 1, "kind": "multinomial_bag", "scheme": "whitespace",
+          "num_classes": 2, "smoothing": 1.0, "class_doc_counts": [2, 3], "tokens": ["a", "b"],
+          "token_counts": [[1, 0], [0, 2]]}
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("class_doc_counts", [0, 0], "class_doc_counts [0, 0] need a positive total"),
+        ("class_doc_counts", [-1, 3], "class_doc_counts [-1, 3] need"),
+        ("token_counts", [[1, 0], [0, -2]], "token_counts row 1 ('b') holds a negative count"),
+    ],
+    ids=["no-documents", "negative-documents", "negative-token-count"],
+)
+def test_model_reader_rejects_bad_counts(tmp_path, capsys, key, value, where):
+    data, bad = tmp_path / "d.jsonl", tmp_path / "m.json"
+    data.write_text('{"text": "a b", "label": 0}\n', encoding="utf-8")
+    common = ["--model", str(bad), "--data", str(data), "--n-pred", "5"]
+    bad.write_text(json.dumps(_MODEL), encoding="utf-8")
+    assert main(["predict", *common, "--out", str(tmp_path / "p.csv")]) == 0  # the valid model
+    capsys.readouterr()
+    bad.write_text(json.dumps({**_MODEL, key: value}), encoding="utf-8")
+    assert main(["certify", *common, "--rate", "0.9", "--n-cert", "100",
+                 "--out", str(tmp_path / "c.csv")]) == 3
+    line = _error_line(capsys)
+    assert f"{bad}:" in line and where in line, line
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("log10_cc_lb", "nan"), ("log10_cc_lb", "inf"), ("log10_cc_lb", "-inf"),
+     ("predicted", "1.0"), ("true_label", "x"), ("abstained", "true"), ("abstained", "")],
+)
+def test_records_reader_rejects_a_bad_record(tmp_path, capsys, column, value):
+    header = ["true_label", "predicted", "abstained", "log10_cc_lb"]
+    row = dict(zip(header, ["1", "1", "0", "2.5"]), **{column: value})
+    bad = tmp_path / "rec.csv"
+    bad.write_text(",".join(header) + "\n1,1,0,2.0\n" + ",".join(row.values()) + "\n",
+                   encoding="utf-8")
+    assert main(["curve", "--records", str(bad), "--out", str(tmp_path / "c.csv")]) == 3
+    line = _error_line(capsys)
+    assert f"{bad}:3: bad record ({column} {value!r} is not" in line, line
+
+
+_SUCCESS = {"instance_index": 1, "status": "success", "queries_used": 3,
+            "original_text": "a b", "true_label": 1, "adversarial_text": "a c",
+            "edit_distance_used": 1}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("adversarial_text", 5), ("original_text", None), ("status", 3), ("instance_index", "1"),
+     ("queries_used", True), ("true_label", 1.5), ("edit_distance_used", "1")],
+)
+def test_report_reader_rejects_a_field_of_the_wrong_type(tmp_path, capsys, key, value):
+    bad = tmp_path / "r.json"
+    outcomes = [{**_SUCCESS, "instance_index": 0}, {**_SUCCESS, key: value}]
+    bad.write_text(json.dumps({"outcomes": outcomes}), encoding="utf-8")
+    assert main(["transfer", "--source-report", str(bad), "--model", str(tmp_path / "m.json"),
+                 "--out", str(tmp_path / "t.json")]) == 3
+    line = _error_line(capsys)
+    assert f"{bad}: not an attack report" in line and f"outcome 1: {key} {value!r}" in line, line
 
 
 def _measures(csv_text):
@@ -1112,6 +1210,70 @@ def test_scipy_special_loads_at_the_first_bound(tmp_path):
     assert checks == [
         "train 0", "predict 0", "curve 0", "cardinality 0", "False", f"True {expected}",
     ]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+_RECORD_COLUMNS = ["true_label", "predicted", "abstained", "log10_cc_lb"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(value=_JSON, cell=st.text(max_size=6), data=st.data())
+def test_readers_raise_only_data_format_errors(tmp_path_factory, value, cell, data):
+    """Each reader, fed one mutated JSON field or CSV cell, raises nothing
+    but DataFormatError, and what it accepts has the type of a valid value."""
+    d = tmp_path_factory.mktemp("mutated")
+    field = data.draw(st.sampled_from(sorted(_SUCCESS)))
+    column = data.draw(st.sampled_from(_RECORD_COLUMNS))
+    cell = cell.replace('"', "")
+    quoted = f'"{cell}"'
+    files = {
+        "d.jsonl": json.dumps({"text": "a b", "label": value}) + "\n",
+        "d.csv": f"text,label\nc,{quoted}\n",
+        "m.json": json.dumps({**_MODEL, data.draw(st.sampled_from(sorted(_MODEL))): value}),
+        "r.json": json.dumps({"outcomes": [{**_SUCCESS, field: value}]}),
+        "rec.csv": ",".join(_RECORD_COLUMNS) + "\n"
+        + ",".join(quoted if c == column else "1" for c in _RECORD_COLUMNS) + "\n",
+    }
+    for name, text in files.items():
+        (d / name).write_text(text, encoding="utf-8")
+
+    def read(reader, name):
+        with suppress(DataFormatError):
+            return reader(str(d / name))
+
+    assert read(cli.load_dataset, "d.jsonl") is None or type(value) is int
+    assert read(cli.load_dataset, "d.csv") is None or re.fullmatch(r"-?[0-9]+", cell)
+    model = read(BuiltinModel.load, "m.json")
+    assert model is None or (model.class_doc_counts >= 0).all() and (model.token_counts >= 0).all()
+    report = read(cli._report_from_json, "r.json")
+    assert report is None or value is None or type(value) is type(_SUCCESS[field])
+    assert main(["curve", "--records", str(d / "rec.csv"), "--out", str(d / "c.csv")]) in (0, 3)
+
+
+#: the modules a fresh import loads: the package, then an external worker's
+#: classifier, then certify (which must stay reachable as a module attribute)
+_IMPORT_CLOSURE = """
+import sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "delcert")
+import delcert
+print(loaded())
+import delcert.classifier
+print(loaded(), "scipy" in sys.modules)
+import delcert.certify
+print(delcert.certify is sys.modules["delcert.certify"])
+"""
+
+
+def test_import_closure_of_an_external_worker_pinned():
+    out = _fresh_python("-c", _IMPORT_CLOSURE)
+    assert out.returncode == 0, out.stderr
+    worker = [f"delcert.{m}" for m in ("classifier", "errors", "mechanisms", "rng", "tokenization")]
+    assert out.stdout.splitlines() == ["['delcert']", f"{['delcert', *worker]} False", "True"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -6,18 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delcert import (
-    ALL_OPS_SETS,
-    FULL_OPS,
-    EditOpsSet,
-    Scheme,
-    TokenSeq,
-    edit_decomposition,
-    edit_distance,
-    enumerate_ball,
-    tokenize,
-)
+from delcert.edit_metrics import ALL_OPS_SETS, FULL_OPS, EditOpsSet, edit_distance, enumerate_ball
 from delcert.errors import GuardError, SchemeMismatchError
+from delcert.tokenization import Scheme, TokenSeq, tokenize
+
+from witnesses import edit_decomposition
 
 W = Scheme.WHITESPACE
 DEL = EditOpsSet(True, False, False)

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from delcert import ALL_OPS_SETS
+from delcert.edit_metrics import ALL_OPS_SETS
 from delcert.kernels import edit_distance_ids
 
 #: candidates over ids {0, 1, 2}; ids 3 and 4 never occur in a candidate

@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from delcert import masking_keep_matrix, mechanisms, pattern_probability, tokenize
+from delcert import mechanisms
 from delcert.certify import vote_counts
-from delcert.mechanisms import MechanismKind, MechanismParams, deletion_keep_matrix
+from delcert.mechanisms import (
+    MechanismKind,
+    MechanismParams,
+    deletion_keep_matrix,
+    masking_keep_matrix,
+)
 from delcert.rng import RandomStream
+from delcert.tokenization import tokenize
+
+from witnesses import pattern_probability
 
 
 class RecordingClassifier:

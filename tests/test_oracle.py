@@ -9,31 +9,22 @@ from fractions import Fraction
 
 import pytest
 
-from delcert import (
-    ALL_OPS_SETS,
-    FULL_OPS,
-    EditOpsSet,
-    Scheme,
-    TokenSeq,
-    edit_decomposition,
-    enumerate_ball,
-    pairwise_bounds,
-    tokenize,
-)
 from delcert import oracle
 from delcert.certify import radius_from_margin, vote_counts
+from delcert.edit_metrics import ALL_OPS_SETS, FULL_OPS, EditOpsSet, enumerate_ball
 from delcert.errors import GuardError
-from delcert.mechanisms import MechanismKind, MechanismParams, pattern_probability
+from delcert.mechanisms import MechanismKind, MechanismParams
 from delcert.oracle import (
     _DENSE_MAX_KEYS,
     _smoothed_scores,
-    alignment_witness,
     exact_smoothed_scores,
     verify_certificate,
 )
 from delcert.rng import RandomStream
+from delcert.tokenization import Scheme, TokenSeq, tokenize
 
 from conftest import ConstantClassifier, CountingClassifier, KeywordClassifier, seqs
+from witnesses import alignment_witness, edit_decomposition, pairwise_bounds, pattern_probability
 
 W = Scheme.WHITESPACE
 

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delcert import Scheme, TokenSeq, detokenize, tokenize
+from delcert.tokenization import Scheme, TokenSeq, tokenize
+
+from witnesses import detokenize
 
 
 def test_whitespace_split():
