@@ -31,6 +31,7 @@ like any base model.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,10 +69,10 @@ _CERT_STREAM = 1
 #: keeps texts that recur across instances (432 more hits; 8,192 added 48).
 _MEMO_SIZE = 1024
 
-#: draws whose texts make one slice on the text path.  A slice's new texts
-#: are one request, so an external child classifies a slice while the next
-#: is built.  certify-external (two 10 s runs each, 2 vCPUs) gave 101 and
-#: 105 instances/s at 512, 95 and 94 at 256, 94 and 98 at 1,024.
+#: rows per float product on the fast path, and the largest slice of draws
+#: on the text path, whose slices grow 64, 128, 256, 512: a slice's new
+#: texts are one request, so an external child classifies a slice while the
+#: next is built, and starts after 64 draws.
 _SLICE_DRAWS = 512
 
 
@@ -131,28 +132,31 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _keep_labels(
-    model: BaseClassifier, x: TokenSeq, keep: np.ndarray, fill: str | None
-) -> np.ndarray:
-    """The label of each draw from its own text, in which a cleared cell drops
-    its token, or shows ``fill`` if one is given.  The texts are built in
-    slices of ``_SLICE_DRAWS`` draws for :func:`classify_texts`, the one
-    dedup on this path, which can send a slice while the next is built."""
-    tokens = np.array(x.tokens, dtype=object)
-    sep = x.scheme.separator
-
-    def slices():
-        for lo in range(0, len(keep), _SLICE_DRAWS):
-            rows = keep[lo : lo + _SLICE_DRAWS]
-            if fill is not None:  # masking shows every cell; an object fill: no str per cell
-                yield list(map(sep.join, np.where(rows, tokens, np.full(len(x), fill, object))))
-                continue
-            # the slice's shown tokens in one flat list, row after row
-            shown = np.broadcast_to(tokens, rows.shape)[rows].tolist()
-            ends = np.cumsum(rows.sum(axis=1)).tolist()
-            yield [sep.join(shown[a:b]) for a, b in zip([0] + ends, ends)]
-
-    return classify_texts(model, slices())
+def _slice_texts(x: TokenSeq, keep: np.ndarray, fill: str | None):
+    """Each slice's texts, one per draw, in which a cleared cell drops its
+    token, or shows ``fill`` if one is given.  Slices grow 64, 128, 256,
+    then ``_SLICE_DRAWS`` draws.  Under deletion a slice is one string: with
+    a terminator column shown in every row, each shown cell is its token
+    (after the separator if the row's previous shown cell precedes it) or
+    the terminator, a character that no token holds, and the pieces are
+    joined once and split at the terminator."""
+    n, sep = len(x), x.scheme.separator
+    taken = "".join(x.tokens) + sep
+    end = next(ch for ch in map(chr, itertools.count(10)) if ch not in taken)
+    # piece c is token c (the terminator at n); piece n + 1 + c has the separator before it
+    pieces = np.array([*x.tokens, end, *(sep + t for t in x.tokens), end], dtype=object)
+    lo, size = 0, 64
+    while lo < len(keep):
+        rows = keep[lo : lo + size]
+        lo, size = lo + size, min(2 * size, _SLICE_DRAWS)
+        if fill is not None:  # masking shows every cell; an object fill: no str per cell
+            yield list(map(sep.join, np.where(rows, pieces[:n], np.full(n, fill, object))))
+            continue
+        shown = np.ones((len(rows), n + 1), dtype=bool)
+        shown[:, :n] = rows
+        col = np.flatnonzero(shown) % (n + 1)
+        col[1:] += (n + 1) * (col[1:] > col[:-1])
+        yield "".join(pieces[col].tolist()).split(end)[:-1]
 
 
 def vote_counts(
@@ -166,28 +170,31 @@ def vote_counts(
 
     For the built-in model under deletion noise the votes are computed
     through keep-matrix products instead of materializing texts, one per
-    ``_SLICE_DRAWS`` (512) rows; the draws consumed from ``rng`` are
-    identical either way.  Any other case builds one text per draw, slice
-    by slice; :func:`~delcert.classifier.classify_texts`, the one dedup on
-    that path, classifies each distinct text once.  A call holds the keep
-    matrix (one byte per draw and token), one sampling block or slice, and
-    on the text path the distinct texts.
+    ``_SLICE_DRAWS`` (512) rows; the draws from ``rng`` and, the scores being
+    exact, the labels are identical either way.  Any other case builds one
+    text per draw, slice by slice (:func:`_slice_texts`);
+    :func:`~delcert.classifier.classify_texts`, the one dedup on that path,
+    classifies each distinct text once.  A call holds the keep matrix (one
+    byte per draw and token), one sampling block or slice, and on the text
+    path the distinct texts.
     """
     deletion = mech.kind is MechanismKind.DELETION
     # looked up at each call, so a rebound certify.deletion_keep_matrix is used
     sampler = deletion_keep_matrix if deletion else masking_keep_matrix
     keep = sampler(n_samples, len(x), mech.rate, rng)
     if deletion and isinstance(model, BuiltinModel) and model.scheme == x.scheme:
+        model.check_exact(len(x))
         contrib = model.log_likelihood[model.token_rows(x.tokens)]  # (n, C)
         if len(keep) <= _SLICE_DRAWS:
             labels = (keep.astype(np.float64) @ contrib + model.log_prior).argmax(axis=1)
-        else:  # a float slice stays in cache; its row sums may round unlike the whole's
+        else:  # a float slice stays in cache; exact scores sum alike in any slicing
             labels = np.concatenate([
                 (rows.astype(np.float64) @ contrib + model.log_prior).argmax(axis=1)
                 for rows in np.split(keep, range(_SLICE_DRAWS, len(keep), _SLICE_DRAWS))
             ])
-    else:
-        labels = _keep_labels(model, x, keep, None if deletion else x.scheme.mask_token)
+    else:  # classify_texts can send a slice while the next is built
+        fill = None if deletion else x.scheme.mask_token
+        labels = classify_texts(model, _slice_texts(x, keep, fill))
     return np.bincount(labels, minlength=model.num_classes)
 
 

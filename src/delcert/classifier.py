@@ -24,6 +24,10 @@ from .tokenization import Scheme, tokenize
 
 MODEL_FORMAT_VERSION = 1
 _SMOOTHING = 1.0
+#: fraction bits a built-in score keeps: every log-prior and log-likelihood
+#: is a multiple of 2**-24, so a sum of them below 2**53 such units is exact
+#: in float64 in any order, and every scorer gives the same label
+_SCORE_BITS = 24
 
 
 class BaseClassifier(Protocol):
@@ -113,7 +117,9 @@ class BuiltinModel:
 
     The vocabulary is closed after training; unseen tokens carry no
     evidence at classification time.  All internal state is integer
-    counts, so serialization is exact and runs are replayable.
+    counts, so serialization is exact and runs are replayable.  Scores are
+    floored to multiples of 2**-``_SCORE_BITS``, so every scorer of a text
+    of at most :meth:`check_exact` tokens sums them exactly and agrees.
     """
 
     scheme: Scheme
@@ -129,10 +135,10 @@ class BuiltinModel:
     # -- derived parameters ------------------------------------------------
     @cached_property
     def log_prior(self) -> np.ndarray:
-        """Log class frequencies: a class with no documents gets -inf, so
-        it is never predicted."""
+        """Log class frequencies, floored to ``_SCORE_BITS``: a class with no
+        documents gets -inf, so it is never predicted."""
         with np.errstate(divide="ignore"):
-            return np.log(self.class_doc_counts / self.class_doc_counts.sum())
+            return _floored(np.log(self.class_doc_counts / self.class_doc_counts.sum()))
 
     @cached_property
     def log_likelihood(self) -> np.ndarray:
@@ -146,7 +152,21 @@ class BuiltinModel:
             like = np.log(counts + _SMOOTHING) - np.log(
                 class_totals + _SMOOTHING * len(self.tokens)
             )
-        return np.vstack([like, np.zeros((1, self.num_classes))])
+        return _floored(np.vstack([like, np.zeros((1, self.num_classes))]))
+
+    @cached_property
+    def _score_units(self) -> tuple[int, int]:
+        """Largest |log-likelihood| and |finite log-prior|, in 2**-_SCORE_BITS units."""
+        prior = self.log_prior[np.isfinite(self.log_prior)]
+        return tuple(int(np.abs(a).max(initial=0) * 2**_SCORE_BITS)
+                     for a in (self.log_likelihood, prior))
+
+    def check_exact(self, n: int) -> None:
+        """Raise ``ValueError`` if a text of ``n`` tokens could score past
+        2**53 units, where float64 sums stop being exact."""
+        row, prior = self._score_units
+        if n * row + prior >= 2**53:
+            raise ValueError(f"a text of {n} tokens is too long to score exactly")
 
     # -- scoring -----------------------------------------------------------
     def token_rows(self, tokens: Sequence[str]) -> np.ndarray:
@@ -154,24 +174,18 @@ class BuiltinModel:
         rows = map(self._token_index.get, tokens, repeat(len(self.tokens)))
         return np.fromiter(rows, dtype=np.intp, count=len(tokens))
 
-    def scores_for_tokens(self, tokens: Sequence[str]) -> np.ndarray:
-        rows = self.token_rows(tokens)
-        return self.log_prior + self.log_likelihood[rows].sum(axis=0)
-
     def classify_batch(self, texts: Sequence[str]) -> list[int]:
-        """Scores every text of the batch with one lookup and one segmented sum."""
+        """Scores every text of the batch with one lookup and one bincount per
+        class; the scores are exact, so the order of the sums cannot move a label."""
         token_lists = list(map(self.scheme.splitter, texts))
         lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+        self.check_exact(int(lengths.max(initial=0)))
         flat = chain.from_iterable(token_lists)
         rows = map(self._token_index.get, flat, repeat(len(self.tokens)))  # token_rows, streamed
         rows = np.fromiter(rows, dtype=np.intp, count=int(lengths.sum()))
-        scores = np.tile(self.log_prior, (len(texts), 1))
-        if rows.size:
-            # np.add.reduceat cannot sum an empty segment, so empty texts
-            # keep the bare prior and only the others get a segment
-            nonempty = lengths > 0
-            starts = np.cumsum(lengths)[nonempty] - lengths[nonempty]
-            scores[nonempty] += np.add.reduceat(self.log_likelihood[rows], starts, axis=0)
+        owner = np.repeat(np.arange(len(texts)), lengths)  # each token's text
+        scores = np.stack([np.bincount(owner, column.take(rows), len(texts))
+                           for column in self.log_likelihood.T], axis=1) + self.log_prior
         return np.argmax(scores, axis=1).tolist()  # argmax breaks ties toward class 0
 
     def most_common_tokens(self, k: int) -> list[str]:
@@ -206,14 +220,16 @@ class BuiltinModel:
                 if (version := payload.get("format_version")) != MODEL_FORMAT_VERSION:
                     raise ValueError(f"unsupported model format version {version!r}")
                 tokens = tuple(payload["tokens"])
-                num_classes = int(payload["num_classes"])
-                doc_counts = np.asarray(payload["class_doc_counts"], dtype=np.int64)
+                num_classes = payload["num_classes"]
+                if type(num_classes) is not int or num_classes < 2:
+                    raise ValueError(f"num_classes {num_classes!r} is not an integer >= 2")
+                doc_counts = _integers(payload["class_doc_counts"], "class_doc_counts")
                 if doc_counts.shape != (num_classes,):
                     raise ValueError(f"{doc_counts.size} class_doc_counts for {num_classes} classes")
                 if doc_counts.min() < 0 or doc_counts.sum() < 1:
                     raise ValueError(f"class_doc_counts {doc_counts.tolist()} need a positive "
                                      "total and no negative count")
-                token_counts = np.asarray(payload["token_counts"], dtype=np.int64).reshape(
+                token_counts = _integers(payload["token_counts"], "token_counts").reshape(
                     len(tokens), num_classes
                 )
                 negative = np.flatnonzero((token_counts < 0).any(axis=1))
@@ -224,6 +240,20 @@ class BuiltinModel:
                 return cls(Scheme(payload["scheme"]), num_classes, doc_counts, tokens, token_counts)
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: not a valid model file ({exc!r})") from exc
+
+
+def _floored(scores: np.ndarray) -> np.ndarray:
+    """``scores`` rounded down to multiples of 2**-_SCORE_BITS (-inf stays)."""
+    return np.floor(scores * 2**_SCORE_BITS) / 2**_SCORE_BITS
+
+
+def _integers(value, name: str) -> np.ndarray:
+    """``value`` as an int64 array, if every entry is a JSON integer (not a bool)."""
+    entries = np.asarray(value, dtype=object)
+    for v in entries.flat:
+        if type(v) is not int:
+            raise ValueError(f"{name} holds {v!r}, not a JSON integer")
+    return entries.astype(np.int64)
 
 
 def train_builtin(

@@ -18,6 +18,7 @@ from delcert.certify import (
     ScoreEstimate,
     SmoothedPredictor,
     _radius_search,
+    _slice_texts,
     certify,
     clopper_pearson_lower,
     clopper_pearson_upper,
@@ -26,7 +27,7 @@ from delcert.certify import (
     smoothed_predict,
     vote_counts,
 )
-from delcert.classifier import LabeledDataset, train_builtin
+from delcert.classifier import BuiltinModel, LabeledDataset, classify_texts, train_builtin
 from delcert.edit_metrics import (
     ALL_OPS_SETS,
     FULL_OPS,
@@ -45,7 +46,7 @@ from conftest import (
     ParityClassifier,
     marker_presence_dataset,
 )
-from witnesses import EditDecomposition, detokenize, pairwise_bounds
+from witnesses import EditDecomposition, detokenize, pairwise_bounds, scores_for_tokens
 
 DEL90 = MechanismParams(MechanismKind.DELETION, 0.9)
 DEL50 = MechanismParams(MechanismKind.DELETION, 0.5)
@@ -389,7 +390,7 @@ def _reference_votes(model, x, mech, n_samples, rng):
     token and scored on its own.  Returns the votes and the texts."""
     keep = deletion_keep_matrix(n_samples, len(x), mech.rate, rng)
     texts = [detokenize(TokenSeq([t for t, k in zip(x.tokens, row) if k], x.scheme)) for row in keep]
-    labels = [int(np.argmax(model.scores_for_tokens(tokenize(t).tokens))) for t in texts]
+    labels = [int(np.argmax(scores_for_tokens(model, tokenize(t).tokens))) for t in texts]
     return np.bincount(labels, minlength=model.num_classes), texts, keep
 
 
@@ -409,7 +410,7 @@ def test_fast_path_matches_text_path():
         def rng():
             return RandomStream(11).child(0).generator()
 
-        # 3000 draws span six slices: dedup and order hold across slices
+        # 3000 draws span eight slices: dedup and order hold across slices
         fast = vote_counts(model, x, mech, 3000, rng())
         counting.reset()
         slow = vote_counts(counting, x, mech, 3000, rng())
@@ -460,6 +461,71 @@ def test_masking_text_path_vote_holds_keep_matrix_and_one_slice():
     peak = _peak_bytes(lambda: counts.append(vote_counts(ConstantClassifier(1), x, mech, 4000, rng)))
     assert counts[0].tolist() == [0, 4000]
     assert peak < 3 * 4000 * len(x)
+
+
+_WORDS = st.sampled_from(["a", "b", "ab", "x9", "\u00e9t\u00e9"])
+_CHARS = st.sampled_from(["a", "b", " ", "\n", "\t", "\x0b", "\x0c", "\r", "\x00", "\u2588"])
+
+
+@given(data=st.data(), scheme=st.sampled_from(Scheme), seed=st.integers(0, 2**32 - 1),
+       draws=st.integers(0, 1100), p_keep=st.floats(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_slice_texts_equal_per_row_joins(data, scheme, seed, draws, p_keep):
+    # repeated tokens, control characters (newline among them) and the empty
+    # input; all-kept and all-deleted rows are set at random places
+    tokens = data.draw(st.lists(_WORDS if scheme is Scheme.WHITESPACE else _CHARS, max_size=30))
+    x = TokenSeq(tokens, scheme)
+    rng = np.random.default_rng(seed)
+    keep = rng.random((draws, len(x))) < p_keep
+    if draws:
+        keep[rng.integers(draws)] = True
+        keep[rng.integers(draws)] = False
+    sep = scheme.separator
+    for fill in (None, scheme.mask_token):
+        texts = [t for batch in _slice_texts(x, keep, fill) for t in batch]
+        ref = [sep.join(t if k else fill for t, k in zip(x.tokens, row) if k or fill)
+               for row in keep]
+        assert texts == ref, fill
+
+
+def test_text_path_slices_grow_from_64_draws():
+    x = tokenize("a b c")
+    keep = deletion_keep_matrix(2000, len(x), 0.5, RandomStream(1).generator())
+    for fill in (None, "[MASK]"):  # deletion and masking share the schedule
+        sizes = [len(batch) for batch in _slice_texts(x, keep, fill)]
+        assert sizes == [64, 128, 256, 512, 512, 512, 16], fill
+
+
+def test_every_scorer_labels_the_tie_model_alike(monkeypatch):
+    # a and b, c and d have mirrored class likelihoods and the priors are
+    # equal, so a draw with as many a as b and c as d is an exact tie; the
+    # fast path, a one-row product, the text path and one classify_batch call
+    # must label every draw alike (ties to class 0), whatever their sum order
+    model = BuiltinModel(Scheme.WHITESPACE, 2, np.array([5, 5]), ("a", "b", "c", "d"),
+                         np.array([[1, 2], [2, 1], [4, 7], [7, 4]]))
+    rng = np.random.default_rng(29)
+    mech = MechanismParams(MechanismKind.DELETION, 0.5)
+    for n in rng.integers(20, 121, size=20):
+        x = TokenSeq(tuple(rng.choice(list("abcd"), size=n)), Scheme.WHITESPACE)
+        keep = deletion_keep_matrix(4000, n, 0.5, rng)
+        contrib = model.log_likelihood[model.token_rows(x.tokens)]
+        one_row = [int(np.argmax(row @ contrib + model.log_prior)) for row in keep.astype(float)]
+        text_path = classify_texts(model, _slice_texts(x, keep, None)).tolist()
+        texts = [t for batch in _slice_texts(x, keep, None) for t in batch]
+        assert text_path == one_row == model.classify_batch(texts)
+        monkeypatch.setattr(certify_module, "deletion_keep_matrix", lambda *a: keep)
+        fast = vote_counts(model, x, mech, 4000, rng)
+        assert fast.tolist() == np.bincount(one_row, minlength=2).tolist()
+
+
+def test_exact_scores_refuse_an_input_too_long_to_sum_exactly():
+    model = BuiltinModel(Scheme.WHITESPACE, 2, np.array([1, 3]), ("a", "b"),
+                         np.array([[0, 2], [3, 1]]))
+    row, prior = model._score_units
+    assert (model.log_likelihood * 2**24 % 1 == 0).all() and row > 0
+    model.check_exact((2**53 - prior - 1) // row)  # the longest input still exact
+    with pytest.raises(ValueError, match="too long to score exactly"):
+        model.check_exact((2**53 - prior - 1) // row + 1)
 
 
 # -- full certification ------------------------------------------------------

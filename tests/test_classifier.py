@@ -15,6 +15,7 @@ from delcert.rng import RandomStream
 from delcert.tokenization import Scheme, tokenize
 
 from conftest import marker_presence_dataset
+from witnesses import scores_for_tokens
 
 DELETE_90 = MechanismParams(MechanismKind.DELETION, 0.9)
 CLEAN = MechanismParams(MechanismKind.DELETION, 0.0)
@@ -231,7 +232,7 @@ def test_batch_equals_elementwise():
         batch = model.classify_batch(texts)
         single = [model.classify_batch([t])[0] for t in texts]
         # the per-text reference: score one token sequence at a time
-        loop = [int(np.argmax(model.scores_for_tokens(tokenize(t, scheme).tokens))) for t in texts]
+        loop = [int(np.argmax(scores_for_tokens(model, tokenize(t, scheme).tokens))) for t in texts]
         assert batch == single == loop, scheme
         assert all(type(label) is int for label in batch)
         assert model.classify_batch([]) == []

@@ -329,8 +329,16 @@ _MODEL = {"format_version": 1, "kind": "multinomial_bag", "scheme": "whitespace"
         ("class_doc_counts", [0, 0], "class_doc_counts [0, 0] need a positive total"),
         ("class_doc_counts", [-1, 3], "class_doc_counts [-1, 3] need"),
         ("token_counts", [[1, 0], [0, -2]], "token_counts row 1 ('b') holds a negative count"),
+        ("class_doc_counts", [0.5, 3.9], "class_doc_counts holds 0.5, not a JSON integer"),
+        ("token_counts", [[1.7, 0], [0, 2]], "token_counts holds 1.7, not a JSON integer"),
+        ("token_counts", [[1, 0], [True, 2]], "token_counts holds True, not a JSON integer"),
+        ("token_counts", [[1, "1"], [0, 2]], "token_counts holds '1', not a JSON integer"),
+        ("num_classes", "2", "num_classes '2' is not an integer >= 2"),
+        ("num_classes", True, "num_classes True is not an integer >= 2"),
     ],
-    ids=["no-documents", "negative-documents", "negative-token-count"],
+    ids=["no-documents", "negative-documents", "negative-token-count", "fractional-documents",
+         "fractional-token-count", "boolean-token-count", "string-token-count",
+         "string-num-classes", "boolean-num-classes"],
 )
 def test_model_reader_rejects_bad_counts(tmp_path, capsys, key, value, where):
     data, bad = tmp_path / "d.jsonl", tmp_path / "m.json"

@@ -4,8 +4,8 @@ stated plainly so that tests can check the product against it.
 No ``delcert`` command runs any of these.  They pin the deletion
 mechanism's pattern mass, the pairwise score bounds behind the radius
 thresholds, the LCS-anchored edit decomposition those bounds take, the
-supersequence count that floors every ball cardinality, and the inverse
-of tokenization.
+supersequence count that floors every ball cardinality, the inverse
+of tokenization, and the built-in model's scores of one token sequence.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from delcert.classifier import BuiltinModel
 from delcert.edit_metrics import CardinalityParams, EditOpsSet, edit_distance
 from delcert.errors import SchemeMismatchError
 from delcert.tokenization import TokenSeq
@@ -37,6 +38,12 @@ def detokenize(seq: TokenSeq) -> str:
     byte-level fidelity is irrelevant).
     """
     return seq.scheme.separator.join(seq.tokens)
+
+
+def scores_for_tokens(model: BuiltinModel, tokens: Sequence[str]) -> np.ndarray:
+    """The built-in model's class scores of one token sequence, summed on
+    their own: the reference for its batched and keep-matrix scorers."""
+    return model.log_prior + model.log_likelihood[model.token_rows(tokens)].sum(axis=0)
 
 
 @dataclass(frozen=True)
