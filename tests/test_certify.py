@@ -687,6 +687,81 @@ def test_smoothed_predictor_rejects_empty_sample_count():
             SmoothedPredictor(KeywordClassifier(), DEL50, n_samples=n)
 
 
+class _RecordingClassifier(KeywordClassifier):
+    """A keyword rule with ``send``, as an external classifier has: it logs
+    each request sent and each collection of its labels to ``log``."""
+
+    def __init__(self, log: list):
+        super().__init__()
+        self.log = log
+
+    def send(self, texts):
+        self.log.append(("send", list(texts)))
+
+        def collect():
+            self.log.append(("collect", len(texts)))
+            return self.classify_batch(texts)
+
+        return collect
+
+
+def _log_calls(monkeypatch, log: list, *names: str) -> None:
+    """Rebinds each named attribute of delcert.certify, as a tracer does, to
+    a wrapper that logs ``("enter", name)`` and ``("exit", name)``."""
+    for name in names:
+        def wrapper(*args, _fn=getattr(certify_module, name), _name=name, **kwargs):
+            log.append(("enter", _name))
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                log.append(("exit", _name))
+
+        monkeypatch.setattr(certify_module, name, wrapper)
+
+
+def test_certify_sends_both_batches_through_one_pipeline(monkeypatch):
+    # the certification keep matrix is sampled, and its first request sent,
+    # before any prediction label is collected; a text that both batches
+    # draw reaches the classifier once, and the certificate is unchanged
+    x = tokenize("a b c d e f")
+    ref = certify(KeywordClassifier(), x, DEL90, 300, 1200, 0.05, RandomStream(7))
+    log = []
+    _log_calls(monkeypatch, log, "deletion_keep_matrix")
+    assert certify(_RecordingClassifier(log), x, DEL90, 300, 1200, 0.05, RandomStream(7)) == ref
+    sent = [t for op, texts in log if op == "send" for t in texts]
+    assert len(sent) == len(set(sent))
+    streams = ((300, certify_module._PRED_STREAM), (1200, certify_module._CERT_STREAM))
+    pred, cert = [{" ".join(itertools.compress(x.tokens, row)) for row in deletion_keep_matrix(
+        n, len(x), 0.9, RandomStream(7).child(purpose).generator())} for n, purpose in streams]
+    assert set(sent) == pred | cert and pred & cert
+    ops = [op for op, _ in log]
+    cert_sampled = [i for i, e in enumerate(log) if e == ("enter", "deletion_keep_matrix")][1]
+    assert ops.index("send", cert_sampled) < ops.index("collect")
+
+
+def test_certify_reaches_every_name_a_tracer_rebinds(monkeypatch):
+    # perfbench's traced runs rebind these names; they count a classifier's
+    # texts as certify's when its labels are collected inside vote_counts
+    names = ("smoothed_predict", "vote_counts", "deletion_keep_matrix")
+    log = []
+    _log_calls(monkeypatch, log, *names)
+    model = train_builtin(marker_presence_dataset(40, seed=3), DEL90, stream=RandomStream(1))
+    certify(model, tokenize("film1 good film2 film3"), DEL90, 100, 400, 0.05, RandomStream(2))
+    assert {name for op, name in log if op == "enter"} == set(names)
+    log.clear()
+    certify(_RecordingClassifier(log), tokenize("a b c"), DEL90, 100, 400, 0.05, RandomStream(2))
+    open_calls, collected = [], 0
+    for op, detail in log:
+        if op == "enter":
+            open_calls.append(detail)
+        elif op == "exit":
+            open_calls.pop()
+        elif op == "collect":
+            assert open_calls[-1] == "vote_counts"
+            collected += 1
+    assert collected
+
+
 def _keyword_predictor():
     return SmoothedPredictor(KeywordClassifier(), DEL50, n_samples=25, stream=RandomStream(3))
 
