@@ -141,23 +141,14 @@ def lexicon_from_dataset(data: LabeledDataset, k: int = 50, scheme: Scheme = Sch
 
 
 def _char_variants(token: str, k: int) -> list[str]:
-    seen: list[str] = []
-    chars = list(token)
-    for i in range(len(chars) - 1):
-        if chars[i] != chars[i + 1]:
-            seen.append("".join(chars[:i] + [chars[i + 1], chars[i]] + chars[i + 2 :]))
-    if len(chars) > 1:
-        for i in range(len(chars)):
-            seen.append("".join(chars[:i] + chars[i + 1 :]))
-    for i in range(len(chars)):
-        seen.append("".join(chars[: i + 1] + [chars[i]] + chars[i + 1 :]))
-    out: list[str] = []
-    for v in seen:
-        if v != token and v and v not in out:
-            out.append(v)
-        if len(out) == k:
-            break
-    return out
+    """The first ``k`` distinct non-empty variants of ``token`` that differ
+    from it: adjacent swaps, then single drops, then doubled characters."""
+    n = len(token)
+    swaps = [token[:i] + token[i + 1] + token[i] + token[i + 2 :] for i in range(n - 1)]
+    drops = [token[:i] + token[i + 1 :] for i in range(n)]
+    dups = [token[: i + 1] + token[i:] for i in range(n)]
+    variants = dict.fromkeys(v for v in swaps + drops + dups if v and v != token)
+    return list(variants)[:k]
 
 
 class _Halt(Exception):

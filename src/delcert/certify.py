@@ -43,7 +43,6 @@ from .edit_metrics import (
     ALL_OPS_SETS,
     BOUND_MEMO_SIZE,
     FULL_OPS,
-    CardinalityParams,
     EditOpsSet,
     lev_ball_cardinality_lower_bound,
 )
@@ -413,9 +412,7 @@ def certify(
             ops: radius_from_margin(bounds.mu_y, bounds.mu_yprime, mech.rate, ops)
             for ops in ALL_OPS_SETS
         }
-    cc = lev_ball_cardinality_lower_bound(
-        CardinalityParams(length=len(x), radius=radii[FULL_OPS], vocab_size=vocab_size)
-    )
+    cc = lev_ball_cardinality_lower_bound(len(x), vocab_size, radii[FULL_OPS])
     return Certificate(
         predicted=pred_label,
         radius_by_ops=radii,

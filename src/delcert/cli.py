@@ -32,7 +32,6 @@ from .certify import _PRED_STREAM, SmoothedPredictor, certify, smoothed_predict
 from .classifier import BuiltinModel, LabeledDataset, train_builtin
 from .edit_metrics import (
     ALL_OPS_SETS,
-    CardinalityParams,
     hamming_ball_cardinality,
     lev_ball_cardinality_exact,
     lev_ball_cardinality_lower_bound,
@@ -333,8 +332,8 @@ def cmd_cardinality(args: argparse.Namespace) -> int:
         rows.append([measure, n, v, r, count, repr(math.log10(count)) if count else ""])
 
     if r <= n:
-        emit("hamming_exact", hamming_ball_cardinality(CardinalityParams(n, r, v)))
-    lower = lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v))
+        emit("hamming_exact", hamming_ball_cardinality(n, v, r))
+    lower = lev_ball_cardinality_lower_bound(n, v, r)
     emit("levenshtein_lower_bound", lower)
     if args.exact:
         tokens = args.tokens.split() if args.tokens is not None else [f"t{i}" for i in range(n)]
@@ -358,11 +357,11 @@ def cmd_textcrs(args: argparse.Namespace) -> int:
     r_R_cap = args.r_r_cap if args.r_r_cap is not None else float(n)
     r_del = max_certified_edit_radius(n, "deletion", r_R_cap)
     r_ins = max_certified_edit_radius(n, "insertion", r_R_cap, args.r_i_cap, args.d_star)
-    ins_min = str(insertion_cover_radii(n, r_ins, args.d_star).r_R_min) if r_ins else "0"
     _write_csv(args.out, [
         ["kind", "length", "r_R_cap", "r_I_cap", "d_star", "max_edit_radius", "r_R_min_at_max"],
-        ["deletion", n, r_R_cap, "", "", r_del, str(deletion_cover_radii(n, r_del).r_R_min)],
-        ["insertion", n, r_R_cap, args.r_i_cap, args.d_star, r_ins, ins_min],
+        ["deletion", n, r_R_cap, "", "", r_del, str(deletion_cover_radii(n, r_del))],
+        ["insertion", n, r_R_cap, args.r_i_cap, args.d_star, r_ins,
+         str(insertion_cover_radii(n, r_ins, args.d_star)[0])],
     ])
     return 0
 

@@ -75,34 +75,6 @@ ALL_OPS_SETS: tuple[EditOpsSet, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CardinalityParams:
-    """Inputs of the ball-cardinality formulas."""
-
-    length: int
-    radius: int
-    vocab_size: int = 50265
-
-    def __post_init__(self) -> None:
-        if self.length < 0 or self.radius < 0:
-            raise ValueError("length and radius must be non-negative")
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be positive")
-
-
-def _intern_pair(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
-    ids: dict[str, int] = {}
-    out = []
-    for seq in (a, b):
-        row = []
-        for tok in seq:
-            if tok not in ids:
-                ids[tok] = len(ids)
-            row.append(ids[tok])
-        out.append(row)
-    return out[0], out[1]
-
-
 def edit_distance(a: TokenSeq, b: TokenSeq, ops: EditOpsSet = FULL_OPS) -> int | float:
     """Minimum number of allowed edits transforming ``a`` into ``b``.
 
@@ -111,8 +83,7 @@ def edit_distance(a: TokenSeq, b: TokenSeq, ops: EditOpsSet = FULL_OPS) -> int |
     """
     if a.scheme != b.scheme:
         raise SchemeMismatchError(f"cannot compare {a.scheme.value} vs {b.scheme.value} sequences")
-    ia, ib = _intern_pair(a.tokens, b.tokens)
-    d = kernels.edit_distance_ids(ia, ib, ops.allow_del, ops.allow_ins, ops.allow_sub)
+    d = kernels.edit_distance_ids(a.tokens, b.tokens, ops.allow_del, ops.allow_ins, ops.allow_sub)
     return math.inf if d < 0 else d
 
 
@@ -177,17 +148,26 @@ def _sequences(alphabet: tuple[str, ...], scheme: Scheme, length: int) -> tuple[
     return tuple(TokenSeq(tuple(row), scheme) for row in rows)
 
 
-def hamming_ball_cardinality(params: CardinalityParams) -> int:
+def _check_ball(length: int, vocab_size: int, radius: int) -> None:
+    if length < 0 or radius < 0:
+        raise ValueError("length and radius must be non-negative")
+    if vocab_size < 1:
+        raise ValueError("vocab_size must be positive")
+
+
+def hamming_ball_cardinality(length: int, vocab_size: int, radius: int) -> int:
     """Exact number of equal-length sequences within ``radius`` substitutions."""
-    n, v, r = params.length, params.vocab_size, params.radius
-    if r > n:
-        raise ValueError(f"radius {r} exceeds sequence length {n}")
-    return sum(comb(n, i) * (v - 1) ** i for i in range(r + 1))
+    _check_ball(length, vocab_size, radius)
+    if radius > length:
+        raise ValueError(f"radius {radius} exceeds sequence length {length}")
+    return sum(comb(length, i) * (vocab_size - 1) ** i for i in range(radius + 1))
 
 
 @functools.lru_cache(maxsize=BOUND_MEMO_SIZE)  # pure, and certificates repeat (length, radius) pairs
-def lev_ball_cardinality_lower_bound(params: CardinalityParams) -> int:
-    """Certified lower bound on the radius-``r`` edit-ball cardinality.
+def lev_ball_cardinality_lower_bound(length: int, vocab_size: int, radius: int) -> int:
+    """Certified lower bound on the size of the radius-``r`` edit ball
+    around any length-``n`` sequence over ``v`` tokens
+    (``n, v, r = length, vocab_size, radius``).
 
     Evaluates the closed-form ball size of a constant sequence (a single
     token repeated ``n`` times), which is the smallest edit ball among
@@ -207,7 +187,8 @@ def lev_ball_cardinality_lower_bound(params: CardinalityParams) -> int:
     ``t <- t (m + 1) / (m + 1 - J)``; when ``J`` grows, the next term
     ``t <- t w (m + 1 - J) / (J + 1)`` is added.  Every division is exact.
     """
-    n, v, r = params.length, params.vocab_size, params.radius
+    _check_ball(length, vocab_size, radius)  # on a cache miss only
+    n, v, r = length, vocab_size, radius
     w = v - 1
     s = t = 1  # J = 0 at the first m, so S = t = C(m, 0)
     j = 0

@@ -1,15 +1,16 @@
-"""The constrained edit-distance DP on integer-id sequences.
+"""The constrained edit-distance DP.
 
 ``edit_distance_ids`` runs a scalar pure-Python DP for one pair (the
 small pairs of the CLI, the attacks and the tests, where numpy's per-call
-cost would dominate), one :func:`edit_row_step` per id of ``a``, and a
-numpy row recurrence when ``a`` is a 2-D array of equal-length
-candidates (the brute-force ball filter).  The numpy recurrence returns
-the distance of every prefix of every row, so one call on the longest
-candidates also serves all shorter ones; it steps each distinct prefix
-once (9,840 DP rows, not 52,488, for length 8 over three tokens).  The
-exact ball counter of :mod:`~delcert.edit_metrics` steps capped rows
-with :func:`edit_row_step` too.
+cost would dominate), one :func:`edit_row_step` per element of ``a``
+(elements are only compared with ``==``, so token strings pass as they
+are), and a numpy row recurrence when ``a`` is a 2-D integer array of
+equal-length candidates (the brute-force ball filter).  The numpy
+recurrence returns the distance of every prefix of every row, so one call
+on the longest candidates also serves all shorter ones; it steps each
+distinct prefix once (9,840 DP rows, not 52,488, for length 8 over three
+tokens).  The exact ball counter of :mod:`~delcert.edit_metrics` steps
+capped rows with :func:`edit_row_step` too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ INF = 1 << 28
 BACKEND = "numpy"
 
 
-def edit_distance_ids(a, b: Sequence[int], allow_del: bool, allow_ins: bool, allow_sub: bool):
+def edit_distance_ids(a, b: Sequence, allow_del: bool, allow_ins: bool, allow_sub: bool):
     """Minimum number of allowed edits transforming ``a`` into ``b``.
 
     del removes a token of ``a``, ins inserts a token of ``b``, sub

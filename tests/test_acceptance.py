@@ -35,7 +35,6 @@ from delcert.cli import main as cli_main
 from delcert.edit_metrics import (
     ALL_OPS_SETS,
     FULL_OPS,
-    CardinalityParams,
     EditOpsSet,
     enumerate_ball,
     hamming_ball_cardinality,
@@ -211,7 +210,7 @@ def test_criterion_05_cardinality_oracles():
                 x = TokenSeq(toks, W)
                 for r in range(0, 3):
                     sub_ball = enumerate_ball(x, r, EditOpsSet(False, False, True), alphabet)
-                    ham = hamming_ball_cardinality(CardinalityParams(n, min(r, n), v))
+                    ham = hamming_ball_cardinality(n, v, min(r, n))
                     if len(sub_ball) != ham:
                         ok = False
                         detail.append(f"hamming {toks} v={v} r={r}")
@@ -220,8 +219,8 @@ def test_criterion_05_cardinality_oracles():
                     if exact != len(full_ball):
                         ok = False
                         detail.append(f"automaton {toks} v={v} r={r}")
-                    lb = lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v))
-                    sup = supersequence_count(CardinalityParams(n, r, v))
+                    lb = lev_ball_cardinality_lower_bound(n, v, r)
+                    sup = supersequence_count(n, v, r)
                     if not (max(ham, sup) <= lb <= exact):
                         ok = False
                         detail.append(f"sandwich {toks} v={v} r={r}")

@@ -194,6 +194,15 @@ def test_char_perturb_variants():
     assert report.outcomes[0].status == SUCCESS
 
 
+@pytest.mark.parametrize("kind", ["greedy_substitute", "char_perturb"])
+def test_zero_candidates_make_only_the_ranking_queries(kind):
+    # no perturbation per position: only the three leave-one-out queries
+    data = LabeledDataset.from_pairs([("abc w0 w1", 1)], 2)
+    recipe = AttackRecipe(kind=kind, candidates_per_position=0)
+    out = run_attack(ConstantClassifier(1), data, recipe, LEX).outcomes[0]
+    assert (out.status, out.queries_used) == (FAIL, 3)
+
+
 def test_lexicon_file_round_trip(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("good\tgreat,fine\nbad\tawful\n", encoding="utf-8")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from delcert import edit_metrics
 from delcert.edit_metrics import (
     FULL_OPS,
-    CardinalityParams,
     EditOpsSet,
     enumerate_ball,
     hamming_ball_cardinality,
@@ -24,14 +23,25 @@ W = Scheme.WHITESPACE
 
 
 def test_hamming_examples():
-    assert hamming_ball_cardinality(CardinalityParams(5, 0, 7)) == 1
-    assert hamming_ball_cardinality(CardinalityParams(3, 1, 2)) == 4
-    assert hamming_ball_cardinality(CardinalityParams(4, 2, 3)) == 33
+    assert hamming_ball_cardinality(5, 7, 0) == 1
+    assert hamming_ball_cardinality(3, 2, 1) == 4
+    assert hamming_ball_cardinality(4, 3, 2) == 33
 
 
 def test_hamming_radius_exceeds_length():
     with pytest.raises(ValueError):
-        hamming_ball_cardinality(CardinalityParams(2, 3, 5))
+        hamming_ball_cardinality(2, 5, 3)
+
+
+
+@pytest.mark.parametrize("ball_size", [hamming_ball_cardinality, lev_ball_cardinality_lower_bound])
+@pytest.mark.parametrize(
+    "length, vocab_size, radius", [(-1, 5, 0), (3, 5, -1), (3, 0, 1), (0, -2, 0)]
+)
+def test_ball_sizes_reject_invalid_arguments(ball_size, length, vocab_size, radius):
+    for _ in range(2):  # the memoized bound raises on every call, not only the first
+        with pytest.raises(ValueError, match="non-negative|positive"):
+            ball_size(length, vocab_size, radius)
 
 
 def test_hamming_matches_substitution_ball():
@@ -41,12 +51,12 @@ def test_hamming_matches_substitution_ball():
                 x = TokenSeq(x_toks, W)
                 for r in range(0, min(n, 2) + 1):
                     ball = enumerate_ball(x, r, EditOpsSet(False, False, True), alphabet)
-                    assert len(ball) == hamming_ball_cardinality(CardinalityParams(n, r, v))
+                    assert len(ball) == hamming_ball_cardinality(n, v, r)
 
 
 def test_lower_bound_trivia():
-    assert lev_ball_cardinality_lower_bound(CardinalityParams(4, 0, 9)) == 1
-    lb = lev_ball_cardinality_lower_bound(CardinalityParams(2, 1, 2))
+    assert lev_ball_cardinality_lower_bound(4, 9, 0) == 1
+    lb = lev_ball_cardinality_lower_bound(2, 2, 1)
     assert 3 <= lb <= 9  # at least the substitution floor, at most the exact count
 
 
@@ -64,7 +74,7 @@ def test_lower_bound_equals_double_sum():
     cases = [(n, r, v) for v in (1, 2, 3, 50265) for n in range(31) for r in range(36)]
     cases += [(120, 68, 50265), (200, 68, 50265)]
     for n, r, v in cases:
-        lb = lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v))
+        lb = lev_ball_cardinality_lower_bound(n, v, r)
         assert lb == _lower_bound_double_sum(n, r, v), (n, r, v)
 
 
@@ -125,10 +135,9 @@ def test_lower_bound_sandwich_sweep():
             for x_toks in itertools.product(alphabet, repeat=n):
                 x = TokenSeq(x_toks, W)
                 for r in range(0, 3):
-                    params = CardinalityParams(n, r, v)
-                    lb = lev_ball_cardinality_lower_bound(params)
-                    ham = hamming_ball_cardinality(CardinalityParams(n, min(r, n), v))
-                    sup = supersequence_count(params)
+                    lb = lev_ball_cardinality_lower_bound(n, v, r)
+                    ham = hamming_ball_cardinality(n, v, min(r, n))
+                    sup = supersequence_count(n, v, r)
                     exact = lev_ball_cardinality_exact(x, v, r)
                     assert max(ham, sup) <= lb <= exact
                     # crude ceiling: every possible length within reach
@@ -139,17 +148,15 @@ def test_lower_bound_tight_on_constant_sequences():
     for n in range(1, 6):
         for r in range(0, 4):
             x = TokenSeq(("u",) * n, W)
-            assert lev_ball_cardinality_exact(x, 3, r) == lev_ball_cardinality_lower_bound(
-                CardinalityParams(n, r, 3)
-            )
+            assert lev_ball_cardinality_exact(x, 3, r) == lev_ball_cardinality_lower_bound(n, 3, r)
 
 
 @given(st.integers(0, 10), st.integers(0, 5), st.integers(2, 60))
 @settings(max_examples=150)
 def test_lower_bound_monotone(n, r, v):
-    lb = lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v))
-    assert lb <= lev_ball_cardinality_lower_bound(CardinalityParams(n, r + 1, v))
-    assert lb <= lev_ball_cardinality_lower_bound(CardinalityParams(n, r, v + 1))
+    lb = lev_ball_cardinality_lower_bound(n, v, r)
+    assert lb <= lev_ball_cardinality_lower_bound(n, v, r + 1)
+    assert lb <= lev_ball_cardinality_lower_bound(n, v + 1, r)
 
 
 @given(st.integers(1, 8), st.integers(0, 3), st.integers(2, 6))
@@ -163,7 +170,7 @@ def test_exact_monotone_in_radius_and_vocab(n, r, v):
 
 def test_big_integer_scale():
     # realistic vocabulary and radius: far beyond float range
-    count = lev_ball_cardinality_lower_bound(CardinalityParams(300, 25, 50265))
+    count = lev_ball_cardinality_lower_bound(300, 50265, 25)
     assert count > 10**100
     import math
 

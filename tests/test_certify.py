@@ -31,7 +31,6 @@ from delcert.classifier import BuiltinModel, LabeledDataset, classify_texts, tra
 from delcert.edit_metrics import (
     ALL_OPS_SETS,
     FULL_OPS,
-    CardinalityParams,
     EditOpsSet,
     lev_ball_cardinality_lower_bound,
 )
@@ -644,9 +643,8 @@ def test_memoized_bounds_equal_uncached_values():
         for n in range(8):
             for r in range(6):
                 for v in (1, 2, 3, 50265):
-                    params = CardinalityParams(n, r, v)
-                    assert lev_ball_cardinality_lower_bound(params) == (
-                        lev_ball_cardinality_lower_bound.__wrapped__(params))
+                    assert lev_ball_cardinality_lower_bound(n, v, r) == (
+                        lev_ball_cardinality_lower_bound.__wrapped__(n, v, r))
         for num, den in ((1, 2), (3, 4), (999, 1000), (1, 10**6), (2**52, 2**53 + 1)):
             for p in (0.5, 0.9, 0.99, 0.999):
                 assert _radius_search(num, den, p) == _radius_search.__wrapped__(num, den, p)

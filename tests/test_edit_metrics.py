@@ -80,6 +80,24 @@ def test_scheme_mismatch():
         edit_distance(tokenize("ab"), tokenize("ab", Scheme.CHARACTER))
 
 
+
+def test_distance_compares_tokens_by_value():
+    built = "".join(["a", "b"])  # equal to "ab", but a separate object
+    literal = "ab"
+    assert built == literal and built is not literal
+    assert edit_distance(TokenSeq((built, "cd"), W), TokenSeq((literal, "cd"), W)) == 0
+    assert edit_distance(tokenize("hello wide world"), tokenize("hello world wide")) == 2
+    assert edit_distance(tokenize("hello world"), tokenize("hello " + "wor" + "ld")) == 0
+    # character scheme: a base letter with its combining accent is one token
+    composed = tokenize("caf\u00e9", Scheme.CHARACTER)
+    decomposed = tokenize("cafe\u0301", Scheme.CHARACTER)
+    assert len(composed) == len(decomposed) == 4
+    assert edit_distance(composed, decomposed) == 1
+    rebuilt = tokenize("".join(["caf", "e", "\u0301"]), Scheme.CHARACTER)
+    assert edit_distance(decomposed, rebuilt) == 0
+    assert edit_distance(tokenize("ab", Scheme.CHARACTER), tokenize("ba", Scheme.CHARACTER)) == 2
+
+
 @given(tokens, tokens, st.booleans(), st.booleans(), st.booleans())
 @settings(max_examples=300)
 def test_distance_matches_brute_force(a, b, d, i, s):

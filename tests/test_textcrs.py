@@ -12,35 +12,32 @@ from delcert.textcrs import (
 
 
 def test_deletion_cover_trivia():
-    req = deletion_cover_radii(5, 0)
-    assert req.r_D == 0 and req.r_R_min == 0
+    assert deletion_cover_radii(5, 0) == 0
 
 
 def test_deletion_cover_examples():
-    assert deletion_cover_radii(10, 2).r_R_min == 32
-    assert deletion_cover_radii(10, 2).r_D == 2
-    assert deletion_cover_radii(3, 2).r_R_min == Fraction(9, 2)  # short-sequence branch
+    assert deletion_cover_radii(10, 2) == 32
+    assert deletion_cover_radii(3, 2) == Fraction(9, 2)  # short-sequence branch
 
 
 def test_insertion_cover_examples():
-    req = insertion_cover_radii(10, 2, d_star=1.0)
-    assert req.r_I_min == pytest.approx(math.sqrt(2))
-    assert req.r_R_min == 32
-    req = insertion_cover_radii(2, 3, d_star=2.5)
-    assert req.r_I_min == pytest.approx(1.0 * 2.5)
-    assert req.r_R_min == 2
+    reorder, l2 = insertion_cover_radii(10, 2, d_star=1.0)
+    assert l2 == pytest.approx(math.sqrt(2))
+    assert reorder == 32
+    reorder, l2 = insertion_cover_radii(2, 3, d_star=2.5)
+    assert l2 == pytest.approx(1.0 * 2.5)
+    assert reorder == 2
 
 
 def test_insertion_cover_zero_radius():
-    req = insertion_cover_radii(7, 0, d_star=3.0)
-    assert req.r_I_min == 0.0 and req.r_R_min == 0
+    assert insertion_cover_radii(7, 0, d_star=3.0) == (0, 0.0)
 
 
 def test_reorder_requirement_monotone_in_r():
     for n in (1, 2, 5, 17):
         prev = Fraction(-1)
         for r in range(0, n + 1):
-            cur = deletion_cover_radii(n, r).r_R_min
+            cur = deletion_cover_radii(n, r)
             assert cur >= prev
             prev = cur
 
@@ -67,9 +64,22 @@ def test_round_trip_cap_consistency():
     for n in range(1, 40):
         for cap in (n, 2 * n, n * n):
             r_star = max_certified_edit_radius(n, "deletion", r_R_cap=cap)
-            assert deletion_cover_radii(n, r_star).r_R_min <= cap
+            assert deletion_cover_radii(n, r_star) <= cap
             if r_star < n:
-                assert deletion_cover_radii(n, r_star + 1).r_R_min > cap
+                assert deletion_cover_radii(n, r_star + 1) > cap
+
+
+def test_insertion_round_trip_cap_consistency():
+    # the sound direction: the requirement at the returned radius fits
+    # under both caps (the radius may understate the largest that fits)
+    for n in range(1, 40):
+        for cap in (n, 2 * n, n * n):
+            for r_i_cap, d_star in ((0.5, 1.0), (1.5, 1.0), (2.0, 1.0), (3.0, 1.5), (0.3, 0.1),
+                                    (7.0, 0.7), (100.0, 1.0)):
+                r_star = max_certified_edit_radius(n, "insertion", cap, r_i_cap, d_star)
+                reorder, l2 = insertion_cover_radii(n, r_star, d_star)
+                assert reorder <= cap and l2 <= r_i_cap, (n, cap, r_i_cap, d_star, r_star)
+
 
 
 def test_input_validation():

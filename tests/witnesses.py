@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from delcert.classifier import BuiltinModel
-from delcert.edit_metrics import CardinalityParams, EditOpsSet, edit_distance
+from delcert.edit_metrics import EditOpsSet, edit_distance
 from delcert.errors import SchemeMismatchError
 from delcert.tokenization import TokenSeq
 
@@ -105,14 +105,14 @@ def pairwise_bounds(
     return lower, upper
 
 
-def supersequence_count(params: CardinalityParams) -> int:
+def supersequence_count(length: int, vocab_size: int, radius: int) -> int:
     """Number of distinct length-``n+r`` supersequences of a length-``n`` sequence.
 
     Classic result: the count does not depend on the sequence itself.
     Each such supersequence is reachable by exactly ``r`` insertions, so
     this is a floor on any radius-``r`` edit-ball cardinality.
     """
-    n, v, r = params.length, params.vocab_size, params.radius
+    n, v, r = length, vocab_size, radius
     return sum(comb(n + r, i) * (v - 1) ** i for i in range(r + 1))
 
 
